@@ -7,13 +7,11 @@
 //
 // --erase-heavy switches to the replacement-search stress mode: build each
 // input once, then time rounds of (batch_erase of k edges, untimed
-// re-insert) on a standing graph, with the serial reference search and the
-// level-synchronous parallel engine side by side. The inputs are chosen to
-// shatter: a star (every cut batch makes k+1 pieces, all hub-side searches
-// collide), a grid (long multi-round doubling-radius searches), and a
-// power-law social graph (skewed piece sizes). The serial column degrades
-// with k (it pays O(piece) per cut pair); the engine's claim-merge protocol
-// keeps throughput flat — the acceptance sweep recorded in BENCH.md.
+// re-insert) on a standing graph. The inputs are chosen to shatter: a star
+// (every cut batch makes up to k+1 pieces around one huge hub piece), a
+// grid (long chains of pieces), and a power-law social graph (skewed piece
+// sizes). The search scans only the non-largest pieces, so the star's hub
+// is never rescanned.
 //
 //   ./bench_connectivity [--n=<vertices>] [--batch=<only this k>] [--quick]
 //                        [--erase-heavy] [--json=<path>]
@@ -85,15 +83,14 @@ std::pair<double, double> sweep_once(const Input& in, size_t k,
 // random edges (timed) followed by re-inserting the same k (untimed), so
 // every round hits a fully-built structure and the replacement search —
 // not the insert path — dominates the measurement. Round -1 is an untimed
-// warm-up: it pays the engine's one-time pooled-state allocation (claim
-// table, arenas — first-touch page faults scale with n) so the timed
-// rounds measure steady state, which is what a standing service sees.
+// warm-up: it pays the search's one-time pooled-state allocation (label
+// table, scratch vectors — first-touch page faults scale with n) so the
+// timed rounds measure steady state, which is what a standing service sees.
 // Returns total erase seconds; *erased_total counts the edges actually
 // removed.
-double erase_heavy_seconds(const Input& in, size_t k, int rounds, bool serial,
+double erase_heavy_seconds(const Input& in, size_t k, int rounds,
                            uint64_t seed, size_t* erased_total) {
   conn::GraphConnectivity<seq::UfoTree> g(in.n);
-  g.set_serial_replacement_search(serial);
   g.batch_insert(in.edges);
   if (k > in.edges.size()) k = in.edges.size();
   EdgeList pool = in.edges;
@@ -132,8 +129,7 @@ int run_erase_heavy(const bench::Options& opt) {
 
   // At --n >= 1M the sweep switches to the sustained-throughput regime:
   // social graph only (the star/grid shatter microbenchmarks live at the
-  // default size — their serial columns would run for hours at 10M) and
-  // larger waves, the BENCH.md n=10M row.
+  // default size) and larger waves, the BENCH.md n=10M row.
   bool sustained = opt.n >= (size_t{1} << 20);
   size_t side = 1;
   while ((side + 1) * (side + 1) <= n) ++side;
@@ -155,19 +151,13 @@ int run_erase_heavy(const bench::Options& opt) {
         "\n== erase-heavy replacement search: %s (n=%zu, m=%zu, rounds=%d) "
         "==\n",
         in.name.c_str(), in.n, in.edges.size(), rounds);
-    std::printf("%-12s %12s %12s %14s %14s %9s\n", "batch", "serial_s",
-                "par_s", "ser_Medges/s", "par_Medges/s", "speedup");
+    std::printf("%-12s %12s %14s\n", "batch", "erase_s", "Medges/s");
     for (size_t k : ks) {
       if (k > in.edges.size()) continue;
-      size_t ser_edges = 0, par_edges = 0;
-      double ser_s =
-          erase_heavy_seconds(in, k, rounds, /*serial=*/true, 42, &ser_edges);
-      double par_s =
-          erase_heavy_seconds(in, k, rounds, /*serial=*/false, 42, &par_edges);
-      double ser_tp = static_cast<double>(ser_edges) / 1e6 / ser_s;
-      double par_tp = static_cast<double>(par_edges) / 1e6 / par_s;
-      std::printf("%-12zu %12.4f %12.4f %14.3f %14.3f %8.2fx\n", k, ser_s,
-                  par_s, ser_tp, par_tp, ser_s / par_s);
+      size_t edges = 0;
+      double secs = erase_heavy_seconds(in, k, rounds, 42, &edges);
+      double tp = static_cast<double>(edges) / 1e6 / secs;
+      std::printf("%-12zu %12.4f %14.3f\n", k, secs, tp);
       std::fflush(stdout);
       rows.begin_object();
       rows.key("input");
@@ -178,18 +168,12 @@ int run_erase_heavy(const bench::Options& opt) {
       rows.value(static_cast<uint64_t>(k));
       rows.key("rounds");
       rows.value(int64_t{rounds});
-      rows.key("serial_seconds");
-      rows.value(ser_s);
-      rows.key("par_seconds");
-      rows.value(par_s);
-      rows.key("serial_edges_erased");
-      rows.value(static_cast<uint64_t>(ser_edges));
-      rows.key("par_edges_erased");
-      rows.value(static_cast<uint64_t>(par_edges));
-      rows.key("serial_medges_per_s");
-      rows.value(ser_tp);
-      rows.key("par_medges_per_s");
-      rows.value(par_tp);
+      rows.key("seconds");
+      rows.value(secs);
+      rows.key("edges_erased");
+      rows.value(static_cast<uint64_t>(edges));
+      rows.key("medges_per_s");
+      rows.value(tp);
       rows.end_object();
     }
   }

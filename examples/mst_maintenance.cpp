@@ -17,12 +17,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "graph/generators.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
+#include "util/union_find.h"
 #include "util/timer.h"
 
 using namespace ufo;
@@ -30,28 +30,10 @@ using namespace ufo;
 namespace {
 
 // Offline Kruskal with union-find, for the final cross-check.
-struct UnionFind {
-  std::vector<uint32_t> parent;
-  explicit UnionFind(size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), 0u);
-  }
-  uint32_t find(uint32_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  }
-  bool unite(uint32_t a, uint32_t b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    parent[a] = b;
-    return true;
-  }
-};
-
 Weight kruskal_weight(size_t n, EdgeList edges) {
   std::sort(edges.begin(), edges.end(),
             [](const Edge& a, const Edge& b) { return a.w < b.w; });
-  UnionFind uf(n);
+  util::UnionFind uf(n);
   Weight total = 0;
   for (const Edge& e : edges)
     if (uf.unite(e.u, e.v)) total += e.w;

@@ -4,54 +4,60 @@
 // be disconnected and cut() removes a tree edge. Every motivating workload
 // (RIS edge streams, road closures, fleet tracking) is a general-graph
 // problem, so this subsystem layers the textbook spanning-forest scheme on
-// top of any batch-dynamic tree:
+// top of a UFO-tree backend (seq::UfoTree or par::UfoTree):
 //
-//   * a spanning forest of the current graph, held in the Backend
-//     (default seq::UfoTree — O(min{log n, D}) updates, Theorem 4.3);
+//   * a spanning forest of the current graph, held in the Backend;
 //   * every remaining edge in a non-tree EdgeStore (per-vertex adjacency on
 //     the phase-concurrent hash table);
 //   * on insertion, an edge joining two components becomes a tree edge,
 //     otherwise a non-tree edge;
-//   * on deletion of a tree edge, a replacement-edge search scans the
-//     smaller split side for a non-tree edge leaving it and promotes it.
+//   * on deletion of tree edges, one replacement search promotes non-tree
+//     edges until forest components equal graph components again.
 //
 // Batch operations preserve the Section 5 batch contract for the backend: a
 // batch_insert stages candidates through a union-find over the batch
 // endpoints (seeded with forest component ids), so the edges handed to
 // Backend::batch_link are mutually independent — any ordering is a valid
 // link sequence. batch_erase cuts all tree edges in one backend batch and
-// then runs replacement searches.
+// then runs the replacement search once for all of them; erase() is a batch
+// of one.
 //
-// Replacement-search invariant (why one pass suffices): during batch_erase,
-// cuts happen before any promotion, and afterwards components only merge.
-// For each cut edge {u, v} the search loop ends in one of two permanent
-// states: u and v reconnected, or both of their components certified
-// crossing-free (every non-tree edge incident to a certified component
-// stays internal, and certified components never change again). A crossing
-// edge surviving all searches would yield, by walking its endpoints'
-// original tree path, a cut pair with one endpoint in an uncertified
-// crossing component and its partner elsewhere — contradicting that every
-// pair finished in a permanent state. Hence forest components equal graph
-// components after a single pass over the cut edges.
+// Replacement search (largest-piece exemption, see DESIGN.md). Cutting k
+// tree edges splits each affected component into pieces; every piece holds
+// a cut endpoint. A crossing non-tree edge joins two pieces of the same
+// original component, so at least one of its endpoints lies outside that
+// component's largest piece. The search therefore labels and scans only the
+// non-largest pieces (piece sizes come from the backend in O(height)), and a
+// piece stops scanning once it has emitted an edge into its component's
+// largest piece: it is joined to that piece already. The emitted edges
+// connect exactly the pieces that all crossing edges connect; a union-find
+// over pieces keeps a spanning forest of them, promoted with one
+// Backend::batch_link. With one cut this is HDT's rule: scan the smaller
+// side, stop at the first replacement.
 //
 // Costs: insert/erase of a non-tree edge O(1) expected beyond the
-// connectivity query; tree-edge deletion O(min-side + incident non-tree
-// edges) for the search plus the backend cut — the pragmatic bound (no
-// HDT-style amortization), which the bench_connectivity sweep measures.
+// connectivity query; a cut batch costs the backend cut plus O(sum of the
+// non-largest piece sizes and their non-tree degrees + k * height) for the
+// search, and one backend batch_link — the pragmatic bound (no HDT-style
+// amortization), which the bench_connectivity sweep measures.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <cassert>
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "connectivity/edge_store.h"
-#include "connectivity/replacement_search.h"
 #include "core/capabilities.h"
 #include "core/invariants.h"
+#include "core/ufo_core.h"
 #include "graph/forest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,11 +70,18 @@
 
 namespace ufo::conn {
 
+// Outcome of a batch mutation. kDegradedAlloc: a bulk hash-table
+// reservation failed (real or injected bad_alloc), so the batch completed
+// through the sequential fallback — the structure is fully consistent and
+// every edge was applied, only the parallel fast path was lost.
+enum class BatchStatus { kOk, kDegradedAlloc };
+
 // BFS component labeling over a tree-edge store; label = smallest vertex id
 // in the component. Shared by check_valid() and the test oracles.
 std::vector<Vertex> component_labels(const EdgeStore& tree_edges);
 
 template <core::BatchDynamic Backend = seq::UfoTree>
+  requires std::derived_from<Backend, core::UfoCore>
 class GraphConnectivity {
  public:
   using backend_type = Backend;
@@ -91,14 +104,6 @@ class GraphConnectivity {
   // meaningful for any workload that treats promoted edges as routes.
   const Backend& forest() const { return forest_; }
 
-  // Force batch_erase onto the serial one-pair-at-a-time replacement search
-  // (the reference implementation) instead of the level-synchronous parallel
-  // engine. Kept for differential testing and as an escape hatch.
-  void set_serial_replacement_search(bool serial) {
-    serial_replacement_ = serial;
-  }
-  bool serial_replacement_search() const { return serial_replacement_; }
-
   // Vertex annotations pass through to the backend when it supports them
   // (weights feed subtree aggregates, marks feed nearest-marked queries);
   // they never affect connectivity, so exposing them cannot desync the
@@ -114,24 +119,8 @@ class GraphConnectivity {
     forest_.set_mark(v, m);
   }
 
-  // Number of vertices in v's component. Uses the backend's subtree
-  // aggregates when available (O(update cost)), otherwise a BFS over the
-  // spanning forest (O(component size)).
-  size_t component_size(Vertex v) const {
-    if constexpr (kHasSubtreeSize) {
-      Vertex p = kNoVertex;
-      tree_.for_each_neighbor(v, [&](Vertex y) {
-        if (p == kNoVertex) p = y;
-      });
-      if (p == kNoVertex) return 1;  // isolated vertex
-      return forest_.subtree_size(v, p) + forest_.subtree_size(p, v);
-    } else {
-      std::unordered_set<Vertex> side;
-      std::vector<Vertex> order;
-      collect_component(v, &side, &order);
-      return side.size();
-    }
-  }
+  // Number of vertices in v's component, O(height).
+  size_t component_size(Vertex v) const { return forest_.component_size(v); }
 
   // --- Single-edge updates --------------------------------------------------
   // Insert {u, v}. Returns false (no-op) on self-loops and duplicates.
@@ -147,7 +136,7 @@ class GraphConnectivity {
   }
 
   // Erase {u, v}. Returns false if the edge is absent. Deleting a tree edge
-  // triggers the replacement-edge search.
+  // runs the replacement search on a cut batch of one.
   bool erase(Vertex u, Vertex v) {
     if (u == v || u >= n_ || v >= n_) return false;
     if (nontree_.erase(u, v)) {
@@ -157,7 +146,7 @@ class GraphConnectivity {
     if (!tree_.contains(u, v)) return false;
     weight_.erase(edge_key(u, v));
     cut_tree(u, v);
-    reconnect(u, v, /*multi_piece=*/false);
+    replace({Edge{u, v, Weight{1}}});
     return true;
   }
 
@@ -245,12 +234,10 @@ class GraphConnectivity {
 
   // Erase a batch of edges. Absent edges and duplicates are filtered.
   // Non-tree removals are trivial; tree removals go through one backend
-  // batch_cut, then replacement searches for all cut edges at once via the
-  // level-synchronous parallel engine (replacement_search.h) — or the serial
-  // reference loop when set_serial_replacement_search(true). Single pass
-  // either way — see the invariant argument in the header comment. Returns
-  // kDegradedAlloc if a bulk reservation failed along the way (the batch is
-  // still fully applied through the sequential fallback).
+  // batch_cut, then one replacement search for all cut edges (see the
+  // header comment). Returns kDegradedAlloc if a bulk reservation failed
+  // along the way (the batch is still fully applied through the sequential
+  // fallback).
   BatchStatus batch_erase(const EdgeList& edges) {
     if (edges.empty()) return BatchStatus::kOk;
     EdgeList cand(edges.size());
@@ -295,33 +282,18 @@ class GraphConnectivity {
     });
     forest_.batch_cut(cut_batch);
     components_ += cut_batch.size();
-    // One cut edge makes exactly two pieces; only larger cut batches can
-    // shatter a component and need the far-side certification pass.
-    bool multi_piece = cut_batch.size() > 1;
-    // Below about a dozen cut pairs the engine's round-synchronous machinery
-    // (lead refreshes, per-phase parallel launches) doesn't amortize; the
-    // serial doubling search wins outright. Hybrid cutover, same invariant.
-    if (serial_replacement_ || cut_batch.size() <= kSerialCutover) {
-      for (const Edge& e : cut_batch) reconnect(e.u, e.v, multi_piece);
-      return BatchStatus::kOk;
-    }
-    EdgeList unresolved;
-    BatchStatus st =
-        engine_.run(forest_, tree_, nontree_, weight_, cut_batch, n_,
-                    multi_piece, &components_, &unresolved);
-    // Safety valve fired (should not happen): settle leftovers serially.
-    for (const Edge& e : unresolved) reconnect(e.u, e.v, multi_piece);
-    return st;
+    return replace(cut_batch);
   }
 
   // --- Introspection --------------------------------------------------------
   size_t memory_bytes() const {
-    size_t total = sizeof(*this) + tree_.memory_bytes() +
-                   nontree_.memory_bytes() + weight_.memory_bytes() +
-                   engine_.memory_bytes();
-    if constexpr (requires(const Backend& b) { b.memory_bytes(); })
-      total += forest_.memory_bytes();
-    return total;
+    auto vec = [](const auto& v) {
+      return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
+    };
+    return sizeof(*this) + forest_.memory_bytes() + tree_.memory_bytes() +
+           nontree_.memory_bytes() + weight_.memory_bytes() +
+           labels_.memory_bytes() + vec(members_) + vec(emit_off_) +
+           vec(emitted_);
   }
 
   // Invariant audit: the forest spans exactly the graph's components, every
@@ -363,9 +335,7 @@ class GraphConnectivity {
   // hierarchy (via ForestSerializer) plus tree/non-tree edge sets, edge
   // weights, and the component counter, all in one checksummed file
   // written with the temp + fsync + rename protocol.
-  recovery::RecoveryError save_checkpoint(const std::string& path) const
-    requires std::derived_from<Backend, core::UfoCore>
-  {
+  recovery::RecoveryError save_checkpoint(const std::string& path) const {
     UFO_SPAN("recovery.conn_save");
     recovery::SnapshotWriter w;
     recovery::ForestSerializer::append(w, forest_);
@@ -391,9 +361,7 @@ class GraphConnectivity {
   // damaged kWeights section degrades to default weights when allowed.
   recovery::RecoveryError load_checkpoint(
       const std::string& path, const recovery::LoadOptions& opts = {},
-      recovery::LoadStats* stats = nullptr)
-    requires std::derived_from<Backend, core::UfoCore>
-  {
+      recovery::LoadStats* stats = nullptr) {
     using recovery::RecoveryError;
     UFO_SPAN("recovery.conn_load");
     recovery::LoadStats local;
@@ -475,15 +443,6 @@ class GraphConnectivity {
   }
 
  private:
-  static constexpr bool kHasComponentId =
-      requires(const Backend& b, Vertex x) {
-        { b.component_id(x) } -> std::convertible_to<uint64_t>;
-      };
-  static constexpr bool kHasSubtreeSize =
-      requires(const Backend& b, Vertex x, Vertex p) {
-        { b.subtree_size(x, p) } -> std::convertible_to<size_t>;
-      };
-
   void link_tree(Vertex u, Vertex v, Weight w) {
     forest_.link(u, v, w);
     tree_.insert(u, v);
@@ -548,147 +507,164 @@ class GraphConnectivity {
     return weight_.get(edge_key(u, v), Weight{1});
   }
 
-  // Pre-unite staged endpoints that share a forest component. Fast path: one
-  // component_id per endpoint (computed in parallel) and a group-by. Generic
-  // backends fall back to representative scanning with pairwise connected()
-  // queries (O(endpoints x distinct components) worst case).
+  // Pre-unite staged endpoints that share a forest component: one
+  // component_id per endpoint (computed in parallel) and a group-by.
   void seed_components(const std::vector<Vertex>& verts,
                        util::UnionFind* stage) {
-    if constexpr (kHasComponentId) {
-      std::vector<std::pair<uint64_t, Vertex>> keyed =
-          par::map(verts.size(), [&](size_t i) {
-            return std::make_pair(forest_.component_id(verts[i]),
-                                  static_cast<Vertex>(i));
-          });
-      for (auto range : par::group_by_key(keyed))
-        for (size_t i = range.first + 1; i < range.second; ++i)
-          stage->unite(keyed[range.first].second, keyed[i].second);
-    } else {
-      std::vector<Vertex> reps;  // one endpoint per distinct component
-      for (size_t i = 0; i < verts.size(); ++i) {
-        bool found = false;
-        for (Vertex r : reps) {
-          if (forest_.connected(verts[i], verts[r])) {
-            stage->unite(static_cast<Vertex>(i), r);
-            found = true;
-            break;
-          }
-        }
-        if (!found) reps.push_back(static_cast<Vertex>(i));
-      }
-    }
+    std::vector<std::pair<uint64_t, Vertex>> keyed =
+        par::map(verts.size(), [&](size_t i) {
+          return std::make_pair(forest_.component_id(verts[i]),
+                                static_cast<Vertex>(i));
+        });
+    for (auto range : par::group_by_key(keyed))
+      for (size_t i = range.first + 1; i < range.second; ++i)
+        stage->unite(keyed[range.first].second, keyed[i].second);
   }
 
-  // Full BFS of v's spanning-forest component into `side` (+ visit order).
-  void collect_component(Vertex v, std::unordered_set<Vertex>* side,
-                         std::vector<Vertex>* order) const {
-    side->clear();
-    side->insert(v);
-    order->assign(1, v);
-    for (size_t head = 0; head < order->size(); ++head) {
-      tree_.for_each_neighbor((*order)[head], [&](Vertex y) {
-        if (side->insert(y).second) order->push_back(y);
-      });
-    }
-  }
+  // The replacement search for the tree edges in `cuts`, which have just
+  // been cut from forest_ and erased from tree_. One round: label the
+  // non-largest pieces, scan their non-tree edges, promote a spanning
+  // forest of the emitted edges with one batch_link (soundness and cost in
+  // the header comment and DESIGN.md). Returns kDegradedAlloc if the
+  // tree-store reservation for the promoted edges failed.
+  BatchStatus replace(const EdgeList& cuts) {
+    UFO_SPAN("conn.search");
+    UFO_STAT("conn.search.rounds", 1);
+    constexpr uint32_t kUnlabelled = par::ClaimTable::kUnclaimed;
+    auto endpoint = [&](size_t i) {
+      return (i & 1) ? cuts[i >> 1].v : cuts[i >> 1].u;
+    };
 
-  // Two-sided BFS over tree edges from the freshly separated u and v; the
-  // side whose frontier exhausts first is the smaller component and is
-  // returned in `side`/`order`. Returns 0 for u's side, 1 for v's. Cost is
-  // O(min(|side(u)|, |side(v)|)) tree-edge traversals.
-  int smaller_side(Vertex u, Vertex v, std::unordered_set<Vertex>* side,
-                   std::vector<Vertex>* order) const {
-    std::unordered_set<Vertex> vis[2] = {{u}, {v}};
-    std::vector<Vertex> queue[2] = {{u}, {v}};
-    size_t head[2] = {0, 0};
-    for (;;) {
-      for (int s = 0; s < 2; ++s) {
-        if (head[s] == queue[s].size()) {
-          *side = std::move(vis[s]);
-          *order = std::move(queue[s]);
-          return s;
-        }
-        Vertex x = queue[s][head[s]++];
-        tree_.for_each_neighbor(x, [&](Vertex y) {
-          if (vis[s].insert(y).second) queue[s].push_back(y);
+    // 1. Pieces: the distinct components of the 2k cut endpoints. A
+    // union-find along the cut pairs groups them into the original
+    // components, each of which exempts its largest piece (ties go to the
+    // smaller piece index).
+    std::vector<std::pair<uint64_t, uint32_t>> keyed =
+        par::map(2 * cuts.size(), [&](size_t i) {
+          return std::make_pair(forest_.component_id(endpoint(i)),
+                                static_cast<uint32_t>(i));
+        });
+    std::vector<std::pair<size_t, size_t>> groups = par::group_by_key(keyed);
+    const size_t np = groups.size();
+    std::vector<uint32_t> piece_of(keyed.size());
+    std::vector<Vertex> rep(np);
+    std::vector<size_t> piece_size(np);
+    par::parallel_for(0, np, [&](size_t p) {
+      rep[p] = endpoint(keyed[groups[p].first].second);
+      piece_size[p] = forest_.component_size(rep[p]);
+      for (size_t j = groups[p].first; j < groups[p].second; ++j)
+        piece_of[keyed[j].second] = static_cast<uint32_t>(p);
+    });
+    util::UnionFind original(np);
+    for (size_t i = 0; i < cuts.size(); ++i)
+      original.unite(piece_of[2 * i], piece_of[2 * i + 1]);
+    // largest[r]: the exempt piece of the original component rooted at r.
+    std::vector<uint32_t> largest(np, kUnlabelled), exempt(np);
+    for (uint32_t p = 0; p < np; ++p) {
+      uint32_t& best = largest[original.find(p)];
+      if (best == kUnlabelled || piece_size[p] > piece_size[best]) best = p;
+    }
+    std::vector<uint32_t> scanned;  // the non-largest pieces
+    for (uint32_t p = 0; p < np; ++p) {
+      exempt[p] = largest[original.find(p)];
+      if (exempt[p] != p) scanned.push_back(p);
+    }
+
+    // 2. Label: BFS over tree_ from each non-largest piece's representative,
+    // pieces in parallel. Each piece's vertices land in its own slice of
+    // members_ (sized by the piece sizes), which doubles as its BFS queue.
+    // Pieces are disjoint, so every claim succeeds exactly once.
+    std::vector<size_t> slice(scanned.size() + 1, 0);
+    for (size_t j = 0; j < scanned.size(); ++j)
+      slice[j] = piece_size[scanned[j]];
+    members_.resize(par::scan_exclusive(slice));
+    labels_.begin_phase(n_);
+    par::parallel_for(0, scanned.size(), [&](size_t j) {
+      const uint32_t p = scanned[j];
+      size_t head = slice[j], tail = slice[j];
+      labels_.claim(rep[p], p);
+      members_[tail++] = rep[p];
+      while (head < tail) {
+        tree_.for_each_neighbor(members_[head++], [&](Vertex y) {
+          if (labels_.claim(y, p)) members_[tail++] = y;
         });
       }
-    }
-  }
+      assert(tail == slice[j + 1] && "component_size disagrees with tree_");
+    });
 
-  // Scan `side` (a full component, `order` = its vertices) for non-tree
-  // edges leaving it and promote every one found to a tree edge. A
-  // promotion merges the attached piece into `side`, and its vertices join
-  // the scan — each vertex is scanned once, so a shattered component is
-  // re-absorbed in time linear in its size rather than quadratically
-  // (re-collecting after every promotion). If tu != kNoVertex, stops early
-  // once tu and tv are connected and returns true; returns false when the
-  // scan exhausts, i.e. `side` has become a certified crossing-free
-  // component.
-  bool sweep_and_promote(std::unordered_set<Vertex>* side,
-                         std::vector<Vertex>* order, Vertex tu, Vertex tv) {
-    for (size_t i = 0; i < order->size();) {
-      Vertex x = (*order)[i];
-      Vertex found_y = kNoVertex;
+    // 3. Scan, vertex by vertex: a non-tree neighbour y of x (piece p) lies
+    // in the piece owner_of(y), or, if unlabelled, in p's exempt piece (a
+    // non-tree edge never leaves its original component). Every edge out of
+    // p is emitted into x's slots until p emits one into its exempt piece;
+    // then p is joined to it, and the rest of p's vertices skip the scan.
+    const size_t m = members_.size();
+    emit_off_.resize(m + 1);
+    par::parallel_for(0, m, [&](size_t i) {
+      emit_off_[i] = nontree_.degree(members_[i]);
+    });
+    emit_off_[m] = 0;
+    emitted_.assign(par::scan_exclusive(emit_off_), kNoVertex);
+    std::vector<std::atomic<uint8_t>> joined(np);
+    par::parallel_for(0, m, [&](size_t i) {
+      const Vertex x = members_[i];
+      const uint32_t p = labels_.owner_of(x);
+      if (joined[p]) return;
       UFO_STAT("conn.replacement_scanned", 1);
+      size_t out = emit_off_[i];
+      bool stop = false;
       nontree_.for_each_neighbor(x, [&](Vertex y) {
-        if (found_y == kNoVertex && !side->count(y)) found_y = y;
+        if (stop) return;
+        const uint32_t q = labels_.owner_of(y);
+        if (q == p) return;
+        emitted_[out++] = y;
+        if (q == kUnlabelled) {
+          stop = true;
+          joined[p] = 1;
+        }
       });
-      if (found_y == kNoVertex) {
-        ++i;  // x has no crossing edges; side only grows, so this is final
-        continue;
-      }
-      nontree_.erase(x, found_y);
-      UFO_STAT("conn.promotions", 1);
-      link_tree(x, found_y, weight_of(x, found_y));
-      if (tu != kNoVertex && forest_.connected(tu, tv)) return true;
-      // Absorb the attached piece; do not advance i — x may cross again.
-      size_t grow = order->size();
-      if (side->insert(found_y).second) order->push_back(found_y);
-      for (; grow < order->size(); ++grow) {
-        tree_.for_each_neighbor((*order)[grow], [&](Vertex y) {
-          if (side->insert(y).second) order->push_back(y);
-        });
+    });
+
+    // 4. Promote: stage the emitted edges through a union-find over pieces;
+    // the accepted ones form a spanning forest of the piece graph, hence
+    // are mutually independent for one batch_link.
+    util::UnionFind stage(np);
+    EdgeList winners;
+    for (size_t i = 0; i < m; ++i) {
+      const Vertex x = members_[i];
+      const uint32_t p = labels_.owner_of(x);
+      for (size_t s = emit_off_[i];
+           s < emit_off_[i + 1] && emitted_[s] != kNoVertex; ++s) {
+        const Vertex y = emitted_[s];
+        uint32_t q = labels_.owner_of(y);
+        if (q == kUnlabelled) q = exempt[p];
+        if (stage.unite(p, q)) winners.push_back({x, y, weight_of(x, y)});
       }
     }
-    return false;
-  }
-
-  // Replacement search after cutting tree edge {u, v}; see the header
-  // comment for the termination/correctness argument. The pair ends in a
-  // permanent state: reconnected, or both sides certified crossing-free.
-  // multi_piece: a batch cut may have shattered the component into > 2
-  // pieces, so a certified near side does not imply the far side is clean.
-  void reconnect(Vertex u, Vertex v, bool multi_piece) {
-    if (forest_.connected(u, v)) return;  // an earlier replacement rejoined
-    UFO_STAT("conn.replacement_searches", 1);
-    std::unordered_set<Vertex> side;
-    std::vector<Vertex> order;
-    int s = smaller_side(u, v, &side, &order);
-    if (sweep_and_promote(&side, &order, u, v)) return;
-    // The near side is a complete component: u and v are truly split. A
-    // single cut makes exactly two pieces, and every crossing edge has an
-    // endpoint in the near side, so an exhausted near sweep already proves
-    // the far side clean — the O(far side) pass below is batch-only.
-    if (!multi_piece) return;
-    Vertex far = (s == 0) ? v : u;
-    collect_component(far, &side, &order);
-    sweep_and_promote(&side, &order, kNoVertex, kNoVertex);
+    if (winners.empty()) return BatchStatus::kOk;
+    UFO_SPAN("conn.promote");
+    UFO_STAT("conn.promotions", static_cast<int64_t>(winners.size()));
+    forest_.batch_link(winners);
+    components_ -= winners.size();
+    BatchStatus status = store_batch(tree_, winners);
+    par::parallel_for(0, winners.size(), [&](size_t j) {
+      nontree_.erase(winners[j].u, winners[j].v);
+    });
+    return status;
   }
 
   size_t n_;
   Backend forest_;           // spanning forest (tree edges only)
   EdgeStore tree_;           // its adjacency, for O(1) membership + BFS
   EdgeStore nontree_;        // replacement-edge candidates
-  // Cut batches at or below this many pairs run the serial search even in
-  // parallel mode (see batch_erase); 12 keeps a 16-spoke star batch on the
-  // engine while routing barely-shattering batches around its fixed cost.
-  static constexpr size_t kSerialCutover = 12;
-
   par::ConcurrentMap weight_;  // edge key -> weight, all edges
   size_t components_;
-  ReplacementSearch<Backend> engine_;  // pooled parallel replacement search
-  bool serial_replacement_ = false;
+  // Replacement-search scratch, pooled across batches: vertex -> piece
+  // labels, the non-largest pieces' vertices (piece by piece), and each
+  // vertex's slots for emitted replacement candidates.
+  par::ClaimTable labels_;
+  std::vector<Vertex> members_;
+  std::vector<size_t> emit_off_;
+  std::vector<Vertex> emitted_;
 };
 
 static_assert(core::GraphConnectivity<GraphConnectivity<seq::UfoTree>>);

@@ -116,9 +116,19 @@ class SortedBag {
       flush();
       return top2(out);  // at most one recursion: everything is live now
     }
-    std::sort(cand, cand + nc, std::greater<int64_t>());
+    // Two-maximum selection over the (at most four) candidates.
+    int64_t hi = 0, lo = 0;
+    for (int k = 0; k < nc; ++k) {
+      if (k == 0 || cand[k] > hi) {
+        lo = hi;
+        hi = cand[k];
+      } else if (k == 1 || cand[k] > lo) {
+        lo = cand[k];
+      }
+    }
     int take = static_cast<int>(std::min<size_t>(live_, 2));
-    for (int k = 0; k < take; ++k) out[k] = cand[k];
+    if (take > 0) out[0] = hi;
+    if (take > 1) out[1] = lo;
     return take;
   }
 

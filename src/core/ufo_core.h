@@ -73,6 +73,8 @@ class UfoCore {
   // current root cluster). Lets bulk callers (the connectivity subsystem's
   // batch staging) canonicalize many endpoints without pairwise queries.
   uint64_t component_id(Vertex v) const { return tree_root(v); }
+  // Number of vertices in v's component: the root cluster's n_verts, O(height).
+  size_t component_size(Vertex v) const { return cold_[tree_root(v)].n_verts; }
   Weight path_sum(Vertex u, Vertex v) const;
   Weight path_max(Vertex u, Vertex v) const;
   int64_t path_length(Vertex u, Vertex v) const;  // hop count

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 #include <unordered_set>
 
 #include "util/random.h"
+#include "util/union_find.h"
 #include "util/zipf.h"
 
 namespace ufo::gen {
@@ -199,34 +199,10 @@ EdgeList bfs_forest(size_t n, const EdgeList& edges, uint64_t seed) {
   return out;
 }
 
-namespace {
-// Union-find with path halving, used by the RIS forest extraction.
-struct UnionFind {
-  std::vector<Vertex> parent;
-  explicit UnionFind(size_t n) : parent(n) {
-    std::iota(parent.begin(), parent.end(), 0u);
-  }
-  Vertex find(Vertex x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  bool unite(Vertex a, Vertex b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    parent[a] = b;
-    return true;
-  }
-};
-}  // namespace
-
 EdgeList ris_forest(size_t n, const EdgeList& edges, uint64_t seed) {
   EdgeList shuffled = edges;
   util::shuffle(shuffled, seed);
-  UnionFind uf(n);
+  util::UnionFind uf(n);
   EdgeList out;
   for (const Edge& ed : shuffled) {
     if (ed.u != ed.v && uf.unite(ed.u, ed.v)) out.push_back(ed);

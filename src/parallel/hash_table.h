@@ -231,8 +231,8 @@ class ConcurrentSet {
 class ClaimTable {
  public:
   // owner_of() result when nobody claimed the id this phase. Owners must be
-  // < kUnclaimed (the replacement-search engine uses search ids, the
-  // teardown walk uses cluster ids — both dense and well below 2^32 - 1).
+  // < kUnclaimed (the replacement search uses piece indexes, the teardown
+  // walk uses cluster ids — both dense and well below 2^32 - 1).
   static constexpr uint32_t kUnclaimed = 0xffffffffu;
 
   // Single-threaded phase boundary: make ids [0, n) claimable and retire
@@ -268,23 +268,6 @@ class ClaimTable {
         return true;
       }
       UFO_STAT("claim.cas_retries", 1);
-    }
-  }
-
-  // Phase-concurrent: claim `id` for `owner` and report who holds the claim
-  // after the call — `owner` iff this call won, the earlier winner's id
-  // otherwise. The merge protocol of the replacement-search engine needs the
-  // holder, not just win/lose: a losing search unions itself with the holder
-  // instead of rescanning the holder's territory.
-  uint32_t claim_or_owner(size_t id, uint32_t owner) {
-    uint64_t want = (epoch_ << 32) | owner;
-    uint64_t cur = slots_[id].load(std::memory_order_relaxed);
-    for (;;) {
-      if ((cur >> 32) == epoch_)
-        return static_cast<uint32_t>(cur);  // already claimed this phase
-      if (slots_[id].compare_exchange_weak(cur, want,
-                                           std::memory_order_acq_rel))
-        return owner;
     }
   }
 

@@ -108,7 +108,13 @@ class Pool {
   }
 
   ~Pool() {
-    stop_.store(true, std::memory_order_release);
+    {
+      // Under sleep_mu_: a worker between its predicate check and its
+      // block would otherwise miss both the flag and the notify, and the
+      // join below would hang at process exit.
+      std::lock_guard<std::mutex> lock(sleep_mu_);
+      stop_.store(true, std::memory_order_release);
+    }
     cv_.notify_all();
     for (auto& t : threads_) t.join();
   }

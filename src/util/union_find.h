@@ -58,14 +58,6 @@ class UnionFind {
     components_ = parent_.size();
   }
 
-  // reset() that also resizes — lets a pooled instance (the replacement
-  // search keeps one per connectivity object) track a per-batch universe.
-  void reset(size_t n) {
-    parent_.resize(n);
-    size_.resize(n);
-    reset();
-  }
-
  private:
   std::vector<Vertex> parent_;
   std::vector<uint32_t> size_;
