@@ -1,14 +1,15 @@
 // Ablations for design choices called out in DESIGN.md:
-//  (a) rank-tree vs. linear rescan for maintaining a non-invertible
-//      aggregate (max) over the children of a high-fanout cluster under
-//      rake deletions (Section 4.2: rank trees keep this O(log));
+//  (a) core::SortedBag (the rake index the core runs, standing in for
+//      Section 4.2's rank trees) vs. linear rescan for maintaining a
+//      non-invertible aggregate (max) over the children of a high-fanout
+//      cluster under rake deletions;
 //  (b) UFO high-degree merges vs. ternarization on star builds — the merge
 //      rule that gives UFO trees their O(min{log n, D}) height.
 #include <algorithm>
 
 #include "bench/common.h"
+#include "core/sorted_bag.h"
 #include "graph/generators.h"
-#include "seq/rank_tree.h"
 #include "seq/rc_tree.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
@@ -41,17 +42,16 @@ int main(int argc, char** argv) {
                 per_op * 1e6, sink == 42 ? "!" : "");
   }
   {
-    seq::RankTree t;
-    for (size_t i = 0; i < fanout; ++i) t.insert(i, 1 + rng.next(64),
-                                                 values[i]);
+    core::SortedBag bag;
+    for (Weight v : values) bag.insert(v);
     util::Timer timer;
     Weight sink = 0;
-    for (size_t i = 0; i < fanout; ++i) {
-      t.erase(i);
-      if (t.size()) sink ^= t.max_value();
+    for (Weight v : values) {
+      bag.erase_one(v);
+      if (!bag.empty()) sink ^= bag.max();
     }
     double per_op = timer.elapsed() / fanout;
-    std::printf("  rank tree     : %10.2f us/delete (O(log(W/w)) each)%s\n",
+    std::printf("  sorted bag    : %10.2f us/delete (O(log k) each)%s\n",
                 per_op * 1e6, sink == 42 ? "!" : "");
   }
 

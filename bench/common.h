@@ -69,7 +69,7 @@ inline void touch_headline_counters() {
   auto& reg = obs::MetricsRegistry::instance();
   for (const char* name :
        {"sched.tasks", "sched.steals", "sched.failed_steals",
-        "hash.set.cas_retries", "par.teardown.rounds", "par.teardown.doomed",
+        "hash.cas_retries", "par.teardown.rounds", "par.teardown.doomed",
         "par.teardown.survivors"})
     reg.counter(name).add(0);
 #endif

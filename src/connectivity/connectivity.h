@@ -211,7 +211,7 @@ class GraphConnectivity {
     BatchStatus status = BatchStatus::kOk;
     if (weight_.try_reserve(cand.size())) {
       par::parallel_for(0, cand.size(), [&](size_t i) {
-        weight_.insert_concurrent(edge_key(cand[i].u, cand[i].v), cand[i].w);
+        weight_.insert(edge_key(cand[i].u, cand[i].v), cand[i].w);
       });
     } else {
       UFO_STAT("conn.degraded_batches", 1);
@@ -367,7 +367,7 @@ class GraphConnectivity {
     recovery::LoadStats local;
     recovery::LoadStats& st = stats ? *stats : local;
     if (tree_.edges() != 0 || nontree_.edges() != 0 || components_ != n_ ||
-        !weight_.empty())
+        weight_.size() != 0)
       return RecoveryError::kBadTarget;
     recovery::SnapshotReader r;
     RecoveryError e = r.open(path);

@@ -1,12 +1,12 @@
 // Per-vertex adjacency store on the phase-concurrent hash set
-// (parallel/hash_table.h). The connectivity subsystem keeps two of these:
-// one for spanning-forest (tree) edges, one for non-tree edges awaiting
-// promotion as replacement edges.
+// (ConcurrentSet in parallel/hash_table.h). The connectivity subsystem keeps
+// two of these: one for spanning-forest (tree) edges, one for non-tree edges
+// awaiting promotion as replacement edges.
 //
-// Concurrency model matches ConcurrentSet's: lookups/inserts/erases are safe
+// Concurrency model matches the hash set's: lookups/inserts/erases are safe
 // within a phase, capacity growth happens only at phase boundaries
-// (reserve_batch before a concurrent insert phase). The sequential insert()
-// grows on demand.
+// (try_reserve_batch before a concurrent insert phase). The sequential
+// insert() grows on demand.
 #pragma once
 
 #include <atomic>
@@ -49,8 +49,8 @@ class EdgeStore {
   }
 
   // Phase-concurrent insert: distinct edges may be inserted from parallel
-  // tasks, provided reserve_batch() covered the endpoints at the preceding
-  // phase boundary.
+  // tasks, provided try_reserve_batch() covered the endpoints at the
+  // preceding phase boundary.
   bool insert_concurrent(Vertex u, Vertex v) {
     bool fresh = adj_[u].insert(v);
     adj_[v].insert(u);
@@ -71,28 +71,11 @@ class EdgeStore {
     adj_[v].for_each([&](uint64_t key) { f(static_cast<Vertex>(key)); });
   }
 
-  std::vector<Vertex> neighbors(Vertex v) const {
-    std::vector<Vertex> out;
-    out.reserve(adj_[v].size());
-    for_each_neighbor(v, [&](Vertex u) { out.push_back(u); });
-    return out;
-  }
-
   // Phase boundary: grow every endpoint's set so a following concurrent
-  // insert phase over `edges` cannot overflow.
-  void reserve_batch(const EdgeList& edges) {
-    std::unordered_map<Vertex, size_t> extra;
-    for (const Edge& e : edges) {
-      ++extra[e.u];
-      ++extra[e.v];
-    }
-    for (const auto& [v, k] : extra) adj_[v].reserve(k);
-  }
-
-  // reserve_batch() with allocation failure reported instead of thrown.
-  // Returns false as soon as one endpoint's growth fails; every set is
-  // still valid (try_reserve leaves a set untouched on failure), so the
-  // caller can fall back to sequential per-edge inserts.
+  // insert phase over `edges` cannot overflow. Returns false as soon as one
+  // endpoint's growth fails; every set is still valid (try_reserve leaves a
+  // set untouched on failure), so the caller can fall back to sequential
+  // per-edge inserts.
   bool try_reserve_batch(const EdgeList& edges) {
     std::unordered_map<Vertex, size_t> extra;
     for (const Edge& e : edges) {

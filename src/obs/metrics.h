@@ -19,7 +19,7 @@
 //     only the hot-path instrumentation vanishes.
 //
 // Metric naming scheme: dotted lower-case path, `<layer>.<subsystem>.<what>`
-// (e.g. `par.teardown.doomed`, `sched.steals`, `hash.set.cas_retries`).
+// (e.g. `par.teardown.doomed`, `sched.steals`, `hash.cas_retries`).
 // Spans named S export `span.S.ns` and `span.S.count` counters.
 #pragma once
 

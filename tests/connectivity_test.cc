@@ -316,7 +316,7 @@ TEST(EdgeStoreTest, BatchReserveAndConcurrentInsert) {
   constexpr size_t n = 32;
   EdgeStore s(n);
   EdgeList batch = gen::star(n);  // all edges share vertex 0
-  s.reserve_batch(batch);
+  ASSERT_TRUE(s.try_reserve_batch(batch));
   par::parallel_for(0, batch.size(), [&](size_t i) {
     s.insert_concurrent(batch[i].u, batch[i].v);
   });

@@ -8,10 +8,11 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "parallel/hash_table.h"
-#include "parallel/list_ranking.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 #include "util/random.h"
@@ -107,47 +108,6 @@ TEST_P(SizeSweep, GroupByKeyPartitionsExactly) {
   EXPECT_EQ(seen_keys.size(), expect.size());
 }
 
-TEST_P(SizeSweep, ListRankOnPermutedChains) {
-  size_t n = GetParam();
-  if (n == 0) GTEST_SKIP();
-  // Build ~sqrt(n) chains over a random permutation of node ids.
-  util::SplitMix64 rng(n + 5);
-  std::vector<uint32_t> perm = util::random_permutation(n, n + 6);
-  std::vector<uint32_t> next(n, kListEnd);
-  std::vector<uint32_t> expect_rank(n, 0);
-  size_t chains = std::max<size_t>(1, n / 16);
-  size_t per = n / chains;
-  for (size_t c = 0; c < chains; ++c) {
-    size_t b = c * per;
-    size_t e = (c + 1 == chains) ? n : (c + 1) * per;
-    for (size_t i = b; i + 1 < e; ++i) next[perm[i]] = perm[i + 1];
-    for (size_t i = b; i < e; ++i)
-      expect_rank[perm[i]] = static_cast<uint32_t>(i - b);
-  }
-  EXPECT_EQ(list_rank(next), expect_rank);
-}
-
-TEST_P(SizeSweep, ChainMatchingIsMaximalMatching) {
-  size_t n = GetParam();
-  if (n < 2) GTEST_SKIP();
-  // One long chain: matching must pair rank-even nodes with successors.
-  std::vector<uint32_t> next(n, kListEnd);
-  for (size_t i = 0; i + 1 < n; ++i)
-    next[i] = static_cast<uint32_t>(i + 1);
-  auto match = chain_maximal_matching(next);
-  size_t pairs = 0;
-  std::vector<uint8_t> used(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (match[i] == kListEnd) continue;
-    ASSERT_EQ(match[i], next[i]) << "pairs must follow successor edges";
-    ASSERT_FALSE(used[i]) << i;
-    ASSERT_FALSE(used[match[i]]) << match[i];
-    used[i] = used[match[i]] = 1;
-    ++pairs;
-  }
-  EXPECT_EQ(pairs, n / 2) << "matching on a chain must take floor(n/2) pairs";
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                          ::testing::Values(0, 1, 2, 3, 17, 100, 2047, 2048,
                                            2049, 10000, 100000),
@@ -155,35 +115,85 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                            return "n" + std::to_string(info.param);
                          });
 
-TEST(ConcurrentSetProperty, RandomOpsMatchStdSet) {
+// Both instantiations of the one table core, against std::unordered_map
+// (the set ignores the oracle's values).
+template <class Table>
+class ConcurrentTableProperty : public ::testing::Test {};
+using TableTypes = ::testing::Types<ConcurrentSet, ConcurrentMap>;
+TYPED_TEST_SUITE(ConcurrentTableProperty, TableTypes);
+
+TYPED_TEST(ConcurrentTableProperty, RandomOpsMatchStdContainer) {
+  using Table = TypeParam;
+  constexpr bool kMap = std::is_same_v<Table, ConcurrentMap>;
+  constexpr int64_t kAbsent = -1;  // get()'s fallback; stored values are >= 0
+  std::unordered_map<uint64_t, int64_t> ref;
+  // Full comparison: membership, get() with its fallback, for_each pairs.
+  auto audit = [&](const Table& t) {
+    for (uint64_t k = 1; k <= 500; ++k) {
+      auto it = ref.find(k);
+      ASSERT_EQ(t.contains(k), it != ref.end()) << "key " << k;
+      if constexpr (kMap) {
+        ASSERT_EQ(t.get(k, kAbsent), it == ref.end() ? kAbsent : it->second)
+            << "key " << k;
+      }
+    }
+    size_t visited = 0;
+    if constexpr (kMap) {
+      t.for_each([&](uint64_t k, int64_t v) {
+        ++visited;
+        auto it = ref.find(k);
+        ASSERT_TRUE(it != ref.end()) << "key " << k;
+        EXPECT_EQ(v, it->second) << "key " << k;
+      });
+    } else {
+      t.for_each([&](uint64_t k) {
+        ++visited;
+        EXPECT_EQ(ref.count(k), 1u) << "key " << k;
+      });
+    }
+    ASSERT_EQ(visited, ref.size());
+    ASSERT_EQ(t.size(), ref.size());
+  };
+
   // Phase-concurrent contract: capacity is managed by the caller via
   // reserve() at phase boundaries (the batch-update algorithms do exactly
   // this), so size the table for the key space and re-reserve
   // periodically to flush tombstones.
-  ConcurrentSet table(2048);
-  std::set<uint64_t> ref;
+  Table table(2048);
   util::SplitMix64 rng(77);
   for (int step = 0; step < 20000; ++step) {
     uint64_t key = rng.next(500) + 1;  // small key space: heavy collisions
+    int64_t value = static_cast<int64_t>(rng.next(1000));
     switch (rng.next(3)) {
-      case 0:
-        table.insert(key);
-        ref.insert(key);
+      case 0: {
+        bool fresh;
+        if constexpr (kMap)
+          fresh = table.insert(key, value);  // present key: overwrite
+        else
+          fresh = table.insert(key);
+        ASSERT_EQ(fresh, ref.count(key) == 0) << "step " << step;
+        ref[key] = value;
         break;
+      }
       case 1:
-        table.erase(key);
-        ref.erase(key);
+        ASSERT_EQ(table.erase(key), ref.erase(key) > 0) << "step " << step;
         break;
       default:
         ASSERT_EQ(table.contains(key), ref.count(key) > 0) << "step " << step;
+        if constexpr (kMap) {
+          ASSERT_EQ(table.get(key, kAbsent),
+                    ref.count(key) ? ref[key] : kAbsent)
+              << "step " << step;
+        }
     }
     if (step % 4096 == 0) {
       table.reserve(2048);  // phase boundary: rehash away tombstones
-      for (uint64_t k = 1; k <= 500; ++k)
-        ASSERT_EQ(table.contains(k), ref.count(k) > 0) << "audit " << step;
+      ASSERT_NO_FATAL_FAILURE(audit(table)) << "audit " << step;
+      Table copy(table);
+      ASSERT_NO_FATAL_FAILURE(audit(copy)) << "copy " << step;
     }
   }
-  ASSERT_EQ(table.size(), ref.size());
+  ASSERT_NO_FATAL_FAILURE(audit(table));
 }
 
 TEST(SchedulerProperty, ParallelForWritesEveryIndexOnce) {

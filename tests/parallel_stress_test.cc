@@ -1,13 +1,14 @@
 // Phase-concurrency stress: hammer the phase-concurrent structures
-// (ConcurrentSet, EdgeStore) through insert-barrier-erase phase cycles and
-// deeply nested fork-join, asserting contents against mutex-guarded
-// oracles. Registered in CMake with UFOTREE_NUM_THREADS=4 so the scheduler
-// actually runs multiple workers (they timeshare on small hosts; the
-// interleavings — and TSan's view of them — are what matters).
+// (ConcurrentSet, ConcurrentMap, EdgeStore) through insert-barrier-erase
+// phase cycles and deeply nested fork-join, asserting contents against
+// mutex-guarded oracles. Registered in CMake with UFOTREE_NUM_THREADS=4 so
+// the scheduler actually runs multiple workers (they timeshare on small
+// hosts; the interleavings — and TSan's view of them — are what matters).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -75,11 +76,64 @@ TEST(StressConcurrentSet, PhaseCyclesAgainstMutexOracle) {
         },
         /*grain=*/1);
     // Phase boundary: full content comparison against the oracle.
-    std::vector<uint64_t> got = set.elements();
+    std::vector<uint64_t> got;
+    set.for_each([&](uint64_t key) { got.push_back(key); });
     std::sort(got.begin(), got.end());
     std::vector<uint64_t> want(oracle.begin(), oracle.end());
     ASSERT_EQ(got, want) << "round " << round;
     ASSERT_EQ(set.size(), oracle.size());
+  }
+}
+
+// The map instantiation through the same phase cycles: concurrent
+// inserts of fresh keys plus overwrites of surviving keys, a barrier, a
+// concurrent read phase checking values, then concurrent erases, with a
+// full (key, value) comparison against a mutex-guarded oracle at each
+// boundary.
+TEST(StressConcurrentMap, PhaseCyclesAgainstMutexOracle) {
+  ConcurrentMap map(64);
+  std::map<uint64_t, int64_t> oracle;
+  std::mutex mu;
+  uint64_t next_key = 1;
+  auto value_of = [](uint64_t key, int round) {
+    return static_cast<int64_t>(util::hash64(key) % 1000) + 1000 * round;
+  };
+  for (int round = 0; round < 20; ++round) {
+    size_t adds = 500 + 137 * static_cast<size_t>(round);
+    std::vector<uint64_t> keys;  // this round's fresh keys, then survivors
+    for (size_t i = 0; i < adds; ++i) keys.push_back(next_key++);
+    for (const auto& [key, value] : oracle) keys.push_back(key);
+    map.reserve(adds);  // phase boundary: survivors are already present
+    parallel_for(
+        0, keys.size(),
+        [&](size_t i) {
+          bool fresh = map.insert(keys[i], value_of(keys[i], round));
+          std::lock_guard<std::mutex> lock(mu);
+          ASSERT_EQ(fresh, i < adds) << "key " << keys[i];
+          oracle[keys[i]] = value_of(keys[i], round);
+        },
+        /*grain=*/1);
+    // Barrier reached. Read phase: every value is this round's.
+    parallel_for(0, keys.size(), [&](size_t i) {
+      ASSERT_EQ(map.get(keys[i], -1), value_of(keys[i], round));
+    });
+    // Concurrent erase phase: drop a pseudo-random half.
+    parallel_for(
+        0, keys.size(),
+        [&](size_t i) {
+          if (util::hash64(keys[i] + static_cast<uint64_t>(round)) & 1) {
+            bool had = map.erase(keys[i]);
+            std::lock_guard<std::mutex> lock(mu);
+            ASSERT_TRUE(had) << "key " << keys[i];
+            oracle.erase(keys[i]);
+          }
+        },
+        /*grain=*/1);
+    // Phase boundary: full content comparison against the oracle.
+    std::map<uint64_t, int64_t> got;
+    map.for_each([&](uint64_t key, int64_t value) { got[key] = value; });
+    ASSERT_EQ(got, oracle) << "round " << round;
+    ASSERT_EQ(map.size(), oracle.size());
   }
 }
 
@@ -102,7 +156,7 @@ TEST(StressEdgeStore, PhaseCyclesAgainstMutexOracle) {
       if (!seen.insert(edge_key(u, v)).second) continue;
       batch.push_back({u, v, 1});
     }
-    store.reserve_batch(batch);  // phase boundary
+    ASSERT_TRUE(store.try_reserve_batch(batch));  // phase boundary
     parallel_for(
         0, batch.size(),
         [&](size_t i) {

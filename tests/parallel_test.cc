@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "parallel/hash_table.h"
-#include "parallel/list_ranking.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 #include "util/random.h"
@@ -138,8 +137,12 @@ TEST(HashTable, ConcurrentInserts) {
   parallel_for(0, n, [&](size_t i) { set.insert(i); });
   EXPECT_EQ(set.size(), n);
   parallel_for(0, n, [&](size_t i) { EXPECT_TRUE(set.contains(i)); });
-  auto elems = set.elements();
-  EXPECT_EQ(elems.size(), n);
+  size_t visited = 0;
+  set.for_each([&](uint64_t key) {
+    EXPECT_LT(key, n);
+    ++visited;
+  });
+  EXPECT_EQ(visited, n);
 }
 
 // Regression: reserve(n) used to size the new table from n alone, ignoring
@@ -210,76 +213,30 @@ TEST(HashTable, ReserveRehashesAndDropsTombstones) {
   for (uint64_t i = 0; i < 4; ++i) EXPECT_FALSE(set.contains(i));
 }
 
-TEST(ListRanking, SingleChain) {
-  // Chain 3 -> 0 -> 2 -> 1 (head 3, tail 1).
-  std::vector<uint32_t> next{2, kListEnd, 1, 0};
-  auto rank = list_rank(next);
-  EXPECT_EQ(rank[3], 0u);
-  EXPECT_EQ(rank[0], 1u);
-  EXPECT_EQ(rank[2], 2u);
-  EXPECT_EQ(rank[1], 3u);
-}
-
-TEST(ListRanking, ManyChains) {
-  // 1000 chains of varying lengths laid out contiguously.
-  std::vector<uint32_t> next;
-  std::vector<uint32_t> expected;
-  util::SplitMix64 rng(7);
-  for (int c = 0; c < 1000; ++c) {
-    size_t len = 1 + rng.next(20);
-    size_t base = next.size();
-    for (size_t i = 0; i < len; ++i) {
-      next.push_back(i + 1 < len ? static_cast<uint32_t>(base + i + 1)
-                                 : kListEnd);
-      expected.push_back(static_cast<uint32_t>(i));
-    }
+// Regression: reserve() used to rehash whenever live + tombstones + n
+// passed half the table, even when the live set alone fit. A table just
+// under half full then rehashed into a table of the same size on every
+// erase/reserve/re-insert round (the connectivity weight map did this on
+// every batch). The rehash now waits until the sum passes 3/4, so churn
+// that reuses its tombstones never rehashes, and a same-size rehash costs
+// O(capacity) only after capacity/4 tombstones have accumulated.
+TEST(HashTable, TombstoneHeadroomAvoidsSameSizeRehash) {
+  constexpr size_t kLive = 2015, kBatch = 64;  // cap/2 - n < L < cap/2
+  ConcurrentSet set(kLive);
+  ASSERT_EQ(set.capacity(), 4096u);
+  for (uint64_t k = 0; k < kLive; ++k) ASSERT_TRUE(set.insert(k));
+  int rehashes = 0;
+  for (uint64_t round = 0; round < 64; ++round) {
+    uint64_t base = (round * kBatch) % (kLive - kBatch);
+    for (uint64_t k = base; k < base + kBatch; ++k) ASSERT_TRUE(set.erase(k));
+    size_t tombs_before = set.tombstones();
+    set.reserve(kBatch);  // phase boundary
+    if (tombs_before > 0 && set.tombstones() == 0) ++rehashes;
+    ASSERT_EQ(set.capacity(), 4096u) << "round " << round;
+    for (uint64_t k = base; k < base + kBatch; ++k) ASSERT_TRUE(set.insert(k));
   }
-  auto rank = list_rank(next);
-  EXPECT_EQ(rank, expected);
-}
-
-TEST(ListRanking, ChainMatchingIsMaximal) {
-  // A chain of length 10: matching must pair (0,1),(2,3),...
-  std::vector<uint32_t> next(10);
-  for (size_t i = 0; i < 10; ++i)
-    next[i] = i + 1 < 10 ? static_cast<uint32_t>(i + 1) : kListEnd;
-  auto match = chain_maximal_matching(next);
-  int pairs = 0;
-  for (size_t i = 0; i < 10; ++i) {
-    if (match[i] != kListEnd) {
-      EXPECT_EQ(match[i], i + 1);
-      ++pairs;
-    }
-  }
-  EXPECT_EQ(pairs, 5);
-}
-
-TEST(ListRanking, MatchingNoOverlap) {
-  util::SplitMix64 rng(11);
-  std::vector<uint32_t> next;
-  for (int c = 0; c < 200; ++c) {
-    size_t len = 1 + rng.next(15);
-    size_t base = next.size();
-    for (size_t i = 0; i < len; ++i)
-      next.push_back(i + 1 < len ? static_cast<uint32_t>(base + i + 1)
-                                 : kListEnd);
-  }
-  auto match = chain_maximal_matching(next);
-  std::vector<int> used(next.size(), 0);
-  for (size_t i = 0; i < next.size(); ++i) {
-    if (match[i] != kListEnd) {
-      used[i]++;
-      used[match[i]]++;
-    }
-  }
-  for (size_t i = 0; i < next.size(); ++i) EXPECT_LE(used[i], 1) << i;
-  // Maximality: no two adjacent unmatched nodes.
-  for (size_t i = 0; i < next.size(); ++i) {
-    if (next[i] == kListEnd) continue;
-    bool i_matched = used[i] > 0;
-    bool j_matched = used[next[i]] > 0;
-    EXPECT_TRUE(i_matched || j_matched) << i;
-  }
+  EXPECT_EQ(set.size(), kLive);
+  EXPECT_LE(rehashes, 4);
 }
 
 }  // namespace
