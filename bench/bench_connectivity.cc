@@ -87,11 +87,16 @@ std::pair<double, double> sweep_once(const Input& in, size_t k,
 // table, scratch vectors — first-touch page faults scale with n) so the
 // timed rounds measure steady state, which is what a standing service sees.
 // Returns total erase seconds; *erased_total counts the edges actually
-// removed.
+// removed, *layer_bytes_per_vertex the connectivity layer's own footprint
+// (memory_bytes() minus the spanning forest's) per vertex after the build.
 double erase_heavy_seconds(const Input& in, size_t k, int rounds,
-                           uint64_t seed, size_t* erased_total) {
+                           uint64_t seed, size_t* erased_total,
+                           double* layer_bytes_per_vertex) {
   conn::GraphConnectivity<seq::UfoTree> g(in.n);
   g.batch_insert(in.edges);
+  *layer_bytes_per_vertex =
+      static_cast<double>(g.memory_bytes() - g.forest().memory_bytes()) /
+      static_cast<double>(in.n);
   if (k > in.edges.size()) k = in.edges.size();
   EdgeList pool = in.edges;
   util::SplitMix64 rng(seed);
@@ -151,13 +156,17 @@ int run_erase_heavy(const bench::Options& opt) {
         "\n== erase-heavy replacement search: %s (n=%zu, m=%zu, rounds=%d) "
         "==\n",
         in.name.c_str(), in.n, in.edges.size(), rounds);
-    std::printf("%-12s %12s %14s\n", "batch", "erase_s", "Medges/s");
+    std::printf("%-12s %12s %14s %14s\n", "batch", "erase_s", "Medges/s",
+                "conn_B/vertex");
     for (size_t k : ks) {
       if (k > in.edges.size()) continue;
       size_t edges = 0;
-      double secs = erase_heavy_seconds(in, k, rounds, 42, &edges);
+      double bytes_per_vertex = 0;
+      double secs =
+          erase_heavy_seconds(in, k, rounds, 42, &edges, &bytes_per_vertex);
       double tp = static_cast<double>(edges) / 1e6 / secs;
-      std::printf("%-12zu %12.4f %14.3f\n", k, secs, tp);
+      std::printf("%-12zu %12.4f %14.3f %14.1f\n", k, secs, tp,
+                  bytes_per_vertex);
       std::fflush(stdout);
       rows.begin_object();
       rows.key("input");
@@ -174,6 +183,8 @@ int run_erase_heavy(const bench::Options& opt) {
       rows.value(static_cast<uint64_t>(edges));
       rows.key("medges_per_s");
       rows.value(tp);
+      rows.key("conn_bytes_per_vertex");
+      rows.value(bytes_per_vertex);
       rows.end_object();
     }
   }

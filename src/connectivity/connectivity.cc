@@ -1,30 +1,7 @@
-// Non-template pieces of the connectivity subsystem, plus the compiled
-// instantiation of the default (UFO tree) backend.
+// The compiled instantiation of the default (UFO tree) backend.
 #include "connectivity/connectivity.h"
 
 namespace ufo::conn {
-
-std::vector<Vertex> component_labels(const EdgeStore& tree_edges) {
-  size_t n = tree_edges.vertices();
-  std::vector<Vertex> label(n, kNoVertex);
-  std::vector<Vertex> queue;
-  for (Vertex root = 0; root < n; ++root) {
-    if (label[root] != kNoVertex) continue;
-    // Scanning roots in increasing order makes each component's label its
-    // smallest vertex id — a canonical form the tests can compare against.
-    label[root] = root;
-    queue.assign(1, root);
-    for (size_t head = 0; head < queue.size(); ++head) {
-      tree_edges.for_each_neighbor(queue[head], [&](Vertex y) {
-        if (label[y] == kNoVertex) {
-          label[y] = root;
-          queue.push_back(y);
-        }
-      });
-    }
-  }
-  return label;
-}
 
 template class GraphConnectivity<seq::UfoTree>;
 

@@ -6,9 +6,12 @@
 // problem, so this subsystem layers the textbook spanning-forest scheme on
 // top of a UFO-tree backend (seq::UfoTree or par::UfoTree):
 //
-//   * a spanning forest of the current graph, held in the Backend;
+//   * a spanning forest of the current graph, held in the Backend; its leaf
+//     adjacency is the only copy of the tree edges;
 //   * every remaining edge in a non-tree EdgeStore (per-vertex adjacency on
 //     the phase-concurrent hash table);
+//   * one weight map keyed by edge, holding exactly the graph's edges, which
+//     doubles as the membership index;
 //   * on insertion, an edge joining two components becomes a tree edge,
 //     otherwise a non-tree edge;
 //   * on deletion of tree edges, one replacement search promotes non-tree
@@ -50,7 +53,6 @@
 #include <cstdint>
 #include <new>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -70,15 +72,38 @@
 
 namespace ufo::conn {
 
-// Outcome of a batch mutation. kDegradedAlloc: a bulk hash-table
-// reservation failed (real or injected bad_alloc), so the batch completed
-// through the sequential fallback — the structure is fully consistent and
-// every edge was applied, only the parallel fast path was lost.
+// Outcome of a batch mutation. kDegradedAlloc (batch_insert only; the
+// erase path reserves nothing): a bulk hash-table reservation failed (real
+// or injected bad_alloc), so the batch completed through the sequential
+// fallback — the structure is fully consistent and every edge was applied,
+// only the parallel fast path was lost.
 enum class BatchStatus { kOk, kDegradedAlloc };
 
-// BFS component labeling over a tree-edge store; label = smallest vertex id
-// in the component. Shared by check_valid() and the test oracles.
-std::vector<Vertex> component_labels(const EdgeStore& tree_edges);
+// BFS component labeling over any adjacency with size() (vertex count) and
+// for_each_neighbor (an EdgeStore, a forest backend); label = smallest
+// vertex id in the component. Shared by check_valid() and the test oracles.
+template <class Graph>
+std::vector<Vertex> component_labels(const Graph& g) {
+  size_t n = g.size();
+  std::vector<Vertex> label(n, kNoVertex);
+  std::vector<Vertex> queue;
+  for (Vertex root = 0; root < n; ++root) {
+    if (label[root] != kNoVertex) continue;
+    // Scanning roots in increasing order makes each component's label its
+    // smallest vertex id — a canonical form the tests can compare against.
+    label[root] = root;
+    queue.assign(1, root);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      g.for_each_neighbor(queue[head], [&](Vertex y) {
+        if (label[y] == kNoVertex) {
+          label[y] = root;
+          queue.push_back(y);
+        }
+      });
+    }
+  }
+  return label;
+}
 
 template <core::BatchDynamic Backend = seq::UfoTree>
   requires std::derived_from<Backend, core::UfoCore>
@@ -87,14 +112,14 @@ class GraphConnectivity {
   using backend_type = Backend;
 
   explicit GraphConnectivity(size_t n)
-      : n_(n), forest_(n), tree_(n), nontree_(n), components_(n) {}
+      : n_(n), forest_(n), nontree_(n), components_(n) {}
 
   size_t size() const { return n_; }
-  size_t num_edges() const { return tree_.edges() + nontree_.edges(); }
-  size_t num_tree_edges() const { return tree_.edges(); }
+  size_t num_edges() const { return num_tree_edges() + nontree_.edges(); }
+  size_t num_tree_edges() const { return n_ - components_; }
   size_t num_components() const { return components_; }
   bool has_edge(Vertex u, Vertex v) const {
-    return u != v && (tree_.contains(u, v) || nontree_.contains(u, v));
+    return u != v && weight_.contains(edge_key(u, v));
   }
   bool connected(Vertex u, Vertex v) const {
     return u == v || forest_.connected(u, v);
@@ -130,7 +155,8 @@ class GraphConnectivity {
     if (forest_.connected(u, v)) {
       nontree_.insert(u, v);
     } else {
-      link_tree(u, v, w);
+      forest_.link(u, v, w);
+      --components_;
     }
     return true;
   }
@@ -143,9 +169,9 @@ class GraphConnectivity {
       weight_.erase(edge_key(u, v));
       return true;
     }
-    if (!tree_.contains(u, v)) return false;
-    weight_.erase(edge_key(u, v));
-    cut_tree(u, v);
+    if (!weight_.erase(edge_key(u, v))) return false;  // else a tree edge
+    forest_.cut(u, v);
+    ++components_;
     replace({Edge{u, v, Weight{1}}});
     return true;
   }
@@ -190,15 +216,17 @@ class GraphConnectivity {
       verts.push_back(e.v);
     }
     par::remove_duplicates(verts);
-    std::unordered_map<Vertex, Vertex> local;
-    local.reserve(verts.size());
-    for (Vertex v : verts) local.emplace(v, static_cast<Vertex>(local.size()));
+    // An endpoint's union-find slot is its index in the sorted verts.
+    auto local = [&](Vertex v) {
+      return static_cast<size_t>(
+          std::lower_bound(verts.begin(), verts.end(), v) - verts.begin());
+    };
     util::UnionFind stage(verts.size());
     seed_components(verts, &stage);
 
     EdgeList tree_batch, nontree_batch;
     for (const Edge& e : cand) {
-      if (stage.unite(local[e.u], local[e.v]))
+      if (stage.unite(local(e.u), local(e.v)))
         tree_batch.push_back(e);
       else
         nontree_batch.push_back(e);
@@ -207,7 +235,7 @@ class GraphConnectivity {
     // Phase 3: apply. The tree batch is mutually independent by staging.
     // Weights: one bulk reservation, then phase-concurrent inserts (cand is
     // deduped, so keys are distinct); on reservation failure degrade to
-    // sequential growth like the edge stores below.
+    // sequential growth like the non-tree store below.
     BatchStatus status = BatchStatus::kOk;
     if (weight_.try_reserve(cand.size())) {
       par::parallel_for(0, cand.size(), [&](size_t i) {
@@ -222,22 +250,18 @@ class GraphConnectivity {
     if (!tree_batch.empty()) {
       forest_.batch_link(tree_batch);
       components_ -= tree_batch.size();
-      if (store_batch(tree_, tree_batch) == BatchStatus::kDegradedAlloc)
-        status = BatchStatus::kDegradedAlloc;
     }
-    if (!nontree_batch.empty()) {
-      if (store_batch(nontree_, nontree_batch) == BatchStatus::kDegradedAlloc)
-        status = BatchStatus::kDegradedAlloc;
-    }
+    if (!nontree_batch.empty() &&
+        store_batch(nontree_batch) == BatchStatus::kDegradedAlloc)
+      status = BatchStatus::kDegradedAlloc;
     return status;
   }
 
   // Erase a batch of edges. Absent edges and duplicates are filtered.
   // Non-tree removals are trivial; tree removals go through one backend
   // batch_cut, then one replacement search for all cut edges (see the
-  // header comment). Returns kDegradedAlloc if a bulk reservation failed
-  // along the way (the batch is still fully applied through the sequential
-  // fallback).
+  // header comment). Makes no hash-table reservation, so it always returns
+  // kOk.
   BatchStatus batch_erase(const EdgeList& edges) {
     if (edges.empty()) return BatchStatus::kOk;
     EdgeList cand(edges.size());
@@ -254,7 +278,8 @@ class GraphConnectivity {
                              return edge_key(a.u, a.v) == edge_key(b.u, b.v);
                            }),
                cand.end());
-    // Classify in parallel: 1 = non-tree, 2 = tree, 0 = absent.
+    // Classify in parallel: 1 = non-tree, 2 = tree (in the weight map but
+    // not the non-tree store), 0 = absent.
     std::vector<uint8_t> kind(cand.size());
     par::parallel_for(0, cand.size(), [&](size_t i) {
       const Edge& e = cand[i];
@@ -262,7 +287,7 @@ class GraphConnectivity {
         kind[i] = 0;
       else if (nontree_.contains(e.u, e.v))
         kind[i] = 1;
-      else if (tree_.contains(e.u, e.v))
+      else if (weight_.contains(edge_key(e.u, e.v)))
         kind[i] = 2;
       else
         kind[i] = 0;
@@ -277,12 +302,10 @@ class GraphConnectivity {
     EdgeList cut_batch =
         par::filter_index(cand, [&](size_t i) { return kind[i] == 2; });
     if (cut_batch.empty()) return BatchStatus::kOk;
-    par::parallel_for(0, cut_batch.size(), [&](size_t i) {
-      tree_.erase(cut_batch[i].u, cut_batch[i].v);
-    });
     forest_.batch_cut(cut_batch);
     components_ += cut_batch.size();
-    return replace(cut_batch);
+    replace(cut_batch);
+    return BatchStatus::kOk;
   }
 
   // --- Introspection --------------------------------------------------------
@@ -290,34 +313,36 @@ class GraphConnectivity {
     auto vec = [](const auto& v) {
       return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
     };
-    return sizeof(*this) + forest_.memory_bytes() + tree_.memory_bytes() +
-           nontree_.memory_bytes() + weight_.memory_bytes() +
-           labels_.memory_bytes() + vec(members_) + vec(emit_off_) +
-           vec(emitted_);
+    return sizeof(*this) + forest_.memory_bytes() + nontree_.memory_bytes() +
+           weight_.memory_bytes() + labels_.memory_bytes() + vec(members_) +
+           vec(emit_off_) + vec(emitted_);
   }
 
   // Invariant audit: the forest spans exactly the graph's components, every
-  // non-tree edge is intra-component, and the counters agree with a
-  // from-scratch labeling. Failure codes (entity = a vertex of the edge,
-  // or 0 for counter drift):
+  // non-tree edge is intra-component, the weight map holds exactly the
+  // graph's edges, and the counters agree with a from-scratch labeling of
+  // the forest's leaf adjacency. Failure codes (entity = a vertex of the
+  // edge, or 0 for counter drift):
   //   #101 component count drift     #104 edge missing its weight entry
   //   #102 tree edge count drift     #105 spanning forest out of sync
-  //   #103 crossing non-tree edge
+  //   #103 crossing non-tree edge    #106 stale weight entry
   core::InvariantReport validate() const {
     core::InvariantReport rep;
-    std::vector<Vertex> label = component_labels(tree_);
+    std::vector<Vertex> label = component_labels(forest_);
     size_t comps = 0;
     for (Vertex v = 0; v < n_; ++v)
       if (label[v] == v) ++comps;
     if (comps != components_) rep.add(101, 0, "component count drift");
-    if (tree_.edges() != n_ - components_)
+    if (forest_edges() + components_ != n_)
       rep.add(102, 0, "tree edge count drift");
+    if (weight_.size() != num_edges()) rep.add(106, 0, "stale weight entry");
     for (Vertex v = 0; v < n_ && !rep.truncated; ++v) {
       nontree_.for_each_neighbor(v, [&](Vertex y) {
         if (label[v] != label[y]) rep.add(103, v, "crossing non-tree edge");
         if (!weight_.contains(edge_key(v, y))) rep.add(104, v, "missing weight");
       });
-      tree_.for_each_neighbor(v, [&](Vertex y) {
+      forest_.for_each_neighbor(v, [&](Vertex y) {
+        if (!weight_.contains(edge_key(v, y))) rep.add(104, v, "missing weight");
         if (!forest_.connected(v, y)) rep.add(105, v, "forest out of sync");
       });
     }
@@ -332,9 +357,10 @@ class GraphConnectivity {
 
   // --- Checkpointing --------------------------------------------------------
   // Durable snapshot of the whole layer: the spanning forest's cluster
-  // hierarchy (via ForestSerializer) plus tree/non-tree edge sets, edge
-  // weights, and the component counter, all in one checksummed file
-  // written with the temp + fsync + rename protocol.
+  // hierarchy (via ForestSerializer) plus tree/non-tree edge sets (the tree
+  // edges read off the forest), edge weights, and the component counter,
+  // all in one checksummed file written with the temp + fsync + rename
+  // protocol.
   recovery::RecoveryError save_checkpoint(const std::string& path) const {
     UFO_SPAN("recovery.conn_save");
     recovery::SnapshotWriter w;
@@ -343,8 +369,10 @@ class GraphConnectivity {
     meta.put_u64(n_);
     meta.put_u64(components_);
     w.add_section(recovery::kSecConnMeta, std::move(meta));
-    w.add_section(recovery::kSecTreeEdges, dump_edges(tree_));
-    w.add_section(recovery::kSecNontreeEdges, dump_edges(nontree_));
+    w.add_section(recovery::kSecTreeEdges,
+                  dump_edges(forest_, num_tree_edges()));
+    w.add_section(recovery::kSecNontreeEdges,
+                  dump_edges(nontree_, nontree_.edges()));
     recovery::ByteBuf ws;
     ws.put_u64(weight_.size());
     weight_.for_each([&](uint64_t k, int64_t wt) {
@@ -356,9 +384,11 @@ class GraphConnectivity {
   }
 
   // Restore into a freshly constructed GraphConnectivity of the snapshot's
-  // n. Edge sets are cross-checked against a union-find rebuilt from the
-  // tree edges (cycle / crossing / counter drift -> kInconsistent); a
-  // damaged kWeights section degrades to default weights when allowed.
+  // n. Edge sets are cross-checked against the restored forest: the tree
+  // section must list exactly its n - comps edges, and every non-tree edge
+  // must be new and join two vertices of one forest component (anything
+  // else -> kInconsistent); a damaged kWeights section degrades to default
+  // weights when allowed.
   recovery::RecoveryError load_checkpoint(
       const std::string& path, const recovery::LoadOptions& opts = {},
       recovery::LoadStats* stats = nullptr) {
@@ -366,8 +396,7 @@ class GraphConnectivity {
     UFO_SPAN("recovery.conn_load");
     recovery::LoadStats local;
     recovery::LoadStats& st = stats ? *stats : local;
-    if (tree_.edges() != 0 || nontree_.edges() != 0 || components_ != n_ ||
-        weight_.size() != 0)
+    if (nontree_.edges() != 0 || components_ != n_ || weight_.size() != 0)
       return RecoveryError::kBadTarget;
     recovery::SnapshotReader r;
     RecoveryError e = r.open(path);
@@ -389,21 +418,25 @@ class GraphConnectivity {
     if (n != n_) return RecoveryError::kBadTarget;
     if (comps > n_) return RecoveryError::kInconsistent;
 
-    EdgeList tree_edges;
     try {
+      EdgeList tree_edges, nontree_edges;
       e = parse_edges(*te, &tree_edges);
       if (e != RecoveryError::kNone) return e;
-      EdgeList nontree_edges;
       e = parse_edges(*ne, &nontree_edges);
       if (e != RecoveryError::kNone) return e;
-      for (const Edge& ed : tree_edges) {
-        if (!tree_.insert(ed.u, ed.v)) return RecoveryError::kInconsistent;
-        weight_.insert_or_assign(edge_key(ed.u, ed.v), 1);
-      }
-      for (const Edge& ed : nontree_edges) {
-        if (tree_.contains(ed.u, ed.v) || !nontree_.insert(ed.u, ed.v))
+      // Distinct forest edges, as many as the forest holds and the counter
+      // implies: the list is exactly the forest's edge set.
+      if (tree_edges.size() != n_ - comps || forest_edges() != n_ - comps)
+        return RecoveryError::kInconsistent;
+      for (const Edge& ed : tree_edges)
+        if (!forest_.has_edge(ed.u, ed.v) ||
+            !weight_.insert_or_assign(edge_key(ed.u, ed.v), 1))
           return RecoveryError::kInconsistent;
-        weight_.insert_or_assign(edge_key(ed.u, ed.v), 1);
+      for (const Edge& ed : nontree_edges) {
+        if (!forest_.connected(ed.u, ed.v) ||
+            !weight_.insert_or_assign(edge_key(ed.u, ed.v), 1))
+          return RecoveryError::kInconsistent;
+        nontree_.insert(ed.u, ed.v);
       }
       if (wsec && !wsec->corrupt) {
         recovery::Cursor wc(wsec->data, wsec->len);
@@ -424,17 +457,6 @@ class GraphConnectivity {
         return RecoveryError::kCorruptSection;
       }
       components_ = comps;
-
-      // Cross-check the edge sets against a union-find rebuilt from the
-      // tree edges (the staged batches' certification structure): a cycle,
-      // a crossing non-tree edge, or counter drift is kInconsistent.
-      util::UnionFind uf(n_);
-      for (const Edge& ed : tree_edges)
-        if (!uf.unite(ed.u, ed.v)) return RecoveryError::kInconsistent;
-      if (uf.num_components() != components_)
-        return RecoveryError::kInconsistent;
-      for (const Edge& ed : nontree_edges)
-        if (!uf.same(ed.u, ed.v)) return RecoveryError::kInconsistent;
     } catch (const std::bad_alloc&) {
       return RecoveryError::kAllocFailed;
     }
@@ -443,33 +465,36 @@ class GraphConnectivity {
   }
 
  private:
-  void link_tree(Vertex u, Vertex v, Weight w) {
-    forest_.link(u, v, w);
-    tree_.insert(u, v);
-    --components_;
+  // Edges in the forest's leaf adjacency, counted from scratch (O(n)).
+  size_t forest_edges() const {
+    size_t ends = 0;
+    for (Vertex v = 0; v < n_; ++v) ends += forest_.degree(v);
+    return ends / 2;
   }
 
-  // Bulk-insert `edges` into `store`: reserve once + parallel inserts, or,
-  // when the reservation's allocation fails, degrade to sequential
-  // per-edge inserts (each grows incrementally, so a failed bulk
+  // Bulk-insert `edges` into the non-tree store: reserve once + parallel
+  // inserts, or, when the reservation's allocation fails, degrade to
+  // sequential per-edge inserts (each grows incrementally, so a failed bulk
   // reservation does not imply the small ones fail too).
-  BatchStatus store_batch(EdgeStore& store, const EdgeList& edges) {
-    if (store.try_reserve_batch(edges)) {
+  BatchStatus store_batch(const EdgeList& edges) {
+    if (nontree_.try_reserve_batch(edges)) {
       par::parallel_for(0, edges.size(), [&](size_t i) {
-        store.insert_concurrent(edges[i].u, edges[i].v);
+        nontree_.insert_concurrent(edges[i].u, edges[i].v);
       });
       return BatchStatus::kOk;
     }
     UFO_STAT("conn.degraded_batches", 1);
-    for (const Edge& e : edges) store.insert(e.u, e.v);
+    for (const Edge& e : edges) nontree_.insert(e.u, e.v);
     return BatchStatus::kDegradedAlloc;
   }
 
-  static recovery::ByteBuf dump_edges(const EdgeStore& s) {
+  // `count` edges, each listed once from its smaller endpoint's adjacency.
+  template <class Graph>
+  static recovery::ByteBuf dump_edges(const Graph& g, size_t count) {
     recovery::ByteBuf b;
-    b.put_u64(s.edges());
-    for (Vertex v = 0; v < s.vertices(); ++v)
-      s.for_each_neighbor(v, [&](Vertex y) {
+    b.put_u64(count);
+    for (Vertex v = 0; v < g.size(); ++v)
+      g.for_each_neighbor(v, [&](Vertex y) {
         if (v < y) {
           b.put_u32(v);
           b.put_u32(y);
@@ -497,12 +522,6 @@ class GraphConnectivity {
     return recovery::RecoveryError::kNone;
   }
 
-  void cut_tree(Vertex u, Vertex v) {
-    tree_.erase(u, v);
-    forest_.cut(u, v);
-    ++components_;
-  }
-
   Weight weight_of(Vertex u, Vertex v) const {
     return weight_.get(edge_key(u, v), Weight{1});
   }
@@ -522,12 +541,11 @@ class GraphConnectivity {
   }
 
   // The replacement search for the tree edges in `cuts`, which have just
-  // been cut from forest_ and erased from tree_. One round: label the
-  // non-largest pieces, scan their non-tree edges, promote a spanning
-  // forest of the emitted edges with one batch_link (soundness and cost in
-  // the header comment and DESIGN.md). Returns kDegradedAlloc if the
-  // tree-store reservation for the promoted edges failed.
-  BatchStatus replace(const EdgeList& cuts) {
+  // been cut from forest_. One round: label the non-largest pieces, scan
+  // their non-tree edges, promote a spanning forest of the emitted edges
+  // with one batch_link (soundness and cost in the header comment and
+  // DESIGN.md).
+  void replace(const EdgeList& cuts) {
     UFO_SPAN("conn.search");
     UFO_STAT("conn.search.rounds", 1);
     constexpr uint32_t kUnlabelled = par::ClaimTable::kUnclaimed;
@@ -570,10 +588,11 @@ class GraphConnectivity {
       if (exempt[p] != p) scanned.push_back(p);
     }
 
-    // 2. Label: BFS over tree_ from each non-largest piece's representative,
-    // pieces in parallel. Each piece's vertices land in its own slice of
-    // members_ (sized by the piece sizes), which doubles as its BFS queue.
-    // Pieces are disjoint, so every claim succeeds exactly once.
+    // 2. Label: BFS over the forest's adjacency from each non-largest
+    // piece's representative, pieces in parallel. Each piece's vertices
+    // land in its own slice of members_ (sized by the piece sizes), which
+    // doubles as its BFS queue. Pieces are disjoint, so every claim
+    // succeeds exactly once.
     std::vector<size_t> slice(scanned.size() + 1, 0);
     for (size_t j = 0; j < scanned.size(); ++j)
       slice[j] = piece_size[scanned[j]];
@@ -585,11 +604,11 @@ class GraphConnectivity {
       labels_.claim(rep[p], p);
       members_[tail++] = rep[p];
       while (head < tail) {
-        tree_.for_each_neighbor(members_[head++], [&](Vertex y) {
+        forest_.for_each_neighbor(members_[head++], [&](Vertex y) {
           if (labels_.claim(y, p)) members_[tail++] = y;
         });
       }
-      assert(tail == slice[j + 1] && "component_size disagrees with tree_");
+      assert(tail == slice[j + 1] && "component_size disagrees with forest");
     });
 
     // 3. Scan, vertex by vertex: a non-tree neighbour y of x (piece p) lies
@@ -640,23 +659,21 @@ class GraphConnectivity {
         if (stage.unite(p, q)) winners.push_back({x, y, weight_of(x, y)});
       }
     }
-    if (winners.empty()) return BatchStatus::kOk;
+    if (winners.empty()) return;
     UFO_SPAN("conn.promote");
     UFO_STAT("conn.promotions", static_cast<int64_t>(winners.size()));
     forest_.batch_link(winners);
     components_ -= winners.size();
-    BatchStatus status = store_batch(tree_, winners);
     par::parallel_for(0, winners.size(), [&](size_t j) {
       nontree_.erase(winners[j].u, winners[j].v);
     });
-    return status;
   }
 
   size_t n_;
-  Backend forest_;           // spanning forest (tree edges only)
-  EdgeStore tree_;           // its adjacency, for O(1) membership + BFS
-  EdgeStore nontree_;        // replacement-edge candidates
-  par::ConcurrentMap weight_;  // edge key -> weight, all edges
+  Backend forest_;             // spanning forest; its leaf adjacency is
+                               // the tree-edge set
+  EdgeStore nontree_;          // replacement-edge candidates
+  par::ConcurrentMap weight_;  // edge key -> weight, all edges (membership)
   size_t components_;
   // Replacement-search scratch, pooled across batches: vertex -> piece
   // labels, the non-largest pieces' vertices (piece by piece), and each

@@ -1,7 +1,7 @@
 // Per-vertex adjacency store on the phase-concurrent hash set
 // (ConcurrentSet in parallel/hash_table.h). The connectivity subsystem keeps
-// two of these: one for spanning-forest (tree) edges, one for non-tree edges
-// awaiting promotion as replacement edges.
+// one for the non-tree edges awaiting promotion as replacement edges; tree
+// edges live only in the spanning forest's leaf adjacency.
 //
 // Concurrency model matches the hash set's: lookups/inserts/erases are safe
 // within a phase, capacity growth happens only at phase boundaries
@@ -11,11 +11,11 @@
 
 #include <atomic>
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/forest.h"
 #include "parallel/hash_table.h"
+#include "parallel/primitives.h"
 
 namespace ufo::conn {
 
@@ -33,7 +33,7 @@ class EdgeStore {
     return *this;
   }
 
-  size_t vertices() const { return adj_.size(); }
+  size_t size() const { return adj_.size(); }  // vertex count
   // Number of undirected edges currently stored.
   size_t edges() const { return edges_.load(std::memory_order_relaxed); }
   size_t degree(Vertex v) const { return adj_[v].size(); }
@@ -77,13 +77,18 @@ class EdgeStore {
   // set untouched on failure), so the caller can fall back to sequential
   // per-edge inserts.
   bool try_reserve_batch(const EdgeList& edges) {
-    std::unordered_map<Vertex, size_t> extra;
-    for (const Edge& e : edges) {
-      ++extra[e.u];
-      ++extra[e.v];
+    // One reservation per distinct endpoint: sort the 2k endpoints and
+    // reserve each run's length.
+    std::vector<Vertex> ends(2 * edges.size());
+    for (size_t i = 0; i < edges.size(); ++i) {
+      ends[2 * i] = edges[i].u;
+      ends[2 * i + 1] = edges[i].v;
     }
-    for (const auto& [v, k] : extra)
-      if (!adj_[v].try_reserve(k)) return false;
+    par::sort(ends);
+    for (size_t i = 0, j = 0; i < ends.size(); i = j) {
+      while (j < ends.size() && ends[j] == ends[i]) ++j;
+      if (!adj_[ends[i]].try_reserve(j - i)) return false;
+    }
     return true;
   }
 

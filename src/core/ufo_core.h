@@ -63,6 +63,12 @@ class UfoCore {
 
   bool has_edge(Vertex u, Vertex v) const;
   size_t degree(Vertex v) const;
+  // Calls f(y) for every forest neighbour y of v: a walk over v's leaf
+  // adjacency, O(degree). Read phases only.
+  template <class F>
+  void for_each_neighbor(Vertex v, F&& f) const {
+    for (const Adj& a : nbrs(leaf_id(v))) f(a.other_end);
+  }
   void set_vertex_weight(Vertex v, Weight w);
   void set_mark(Vertex v, bool marked);
 

@@ -38,7 +38,9 @@ class ConcurrentTable {
   static constexpr uint64_t kEmpty = ~0ULL;
   static constexpr uint64_t kTombstone = ~0ULL - 1;
 
-  explicit ConcurrentTable(size_t capacity_hint = 16) {
+  // A default table has capacity_for(0, 0) = 16 slots: the connectivity
+  // layer holds one per vertex, most of them nearly empty.
+  explicit ConcurrentTable(size_t capacity_hint = 0) {
     reserve(capacity_hint);
   }
 

@@ -11,6 +11,7 @@
 
 #include "connectivity/connectivity.h"
 #include "graph/generators.h"
+#include "parallel/par_ufo_tree.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 #include "util/union_find.h"
@@ -283,6 +284,40 @@ TEST(GraphConnectivity, ComponentSizeOnStar) {
   g.erase(0, 17);
   EXPECT_EQ(g.component_size(17), 1u);
   EXPECT_EQ(g.component_size(0), n - 1);
+}
+
+TEST(GraphConnectivity, HasEdgeOutOfRangeIsFalse) {
+  constexpr size_t n = 8;
+  UfoConn g(n);
+  g.batch_insert(gen::path(n));
+  EXPECT_TRUE(g.has_edge(3, 4));
+  EXPECT_FALSE(g.has_edge(n, 0));
+  EXPECT_FALSE(g.has_edge(0, n));
+  EXPECT_FALSE(g.has_edge(n + 5, n + 9));
+  EXPECT_FALSE(g.has_edge(kNoVertex, 3));
+}
+
+template <class Backend>
+class Connectivity : public ::testing::Test {};
+using Backends = ::testing::Types<seq::UfoTree, par::UfoTree>;
+TYPED_TEST_SUITE(Connectivity, Backends);
+
+// The layer's own footprint (everything but the spanning forest) per vertex
+// after one bulk insert. Tree edges live only in the forest and an empty
+// per-vertex set holds 16 slots, so each vertex pays for one small
+// non-tree set plus its share of the weight map.
+TYPED_TEST(Connectivity, LayerBytesPerVertex) {
+  auto layer_bytes_per_vertex = [](size_t n, const EdgeList& edges) {
+    GraphConnectivity<TypeParam> g(n);
+    g.batch_insert(edges);
+    EXPECT_EQ(g.num_edges(), edges.size());
+    return (g.memory_bytes() - g.forest().memory_bytes()) / n;
+  };
+  constexpr size_t kSide = 64, kSocial = size_t{1} << 14;
+  EXPECT_LE(layer_bytes_per_vertex(kSide * kSide, gen::grid_graph(kSide, kSide)),
+            400u);
+  EXPECT_LE(layer_bytes_per_vertex(kSocial, gen::social_graph(kSocial, 4, 11)),
+            512u);
 }
 
 TEST(UnionFindTest, BasicStagingBehavior) {

@@ -663,6 +663,54 @@ TEST(ConnectivityCheckpoint, CrcValidCrossingEdgeIsInconsistent) {
   std::remove(path.c_str());
 }
 
+// A re-sealed edit that swaps the tree edge {3, 4} of a path for {3, 5} in
+// both the tree-edge and the weight sections passes every checksum and
+// keeps every count and component intact, but lists an edge the restored
+// forest does not hold: the forest cross-check must reject it.
+TEST(ConnectivityCheckpoint, CrcValidTreeEdgeNotInForestIsInconsistent) {
+  const std::string path = tmp_path("conntree.snap");
+  size_t n = 50;
+  conn::GraphConnectivity<seq::UfoTree> g(n);
+  EdgeList edges;
+  for (Vertex v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1, 1});
+  g.batch_insert(edges);
+  ASSERT_EQ(g.save_checkpoint(path), RecoveryError::kNone);
+  std::vector<uint8_t> img = read_file(path);
+
+  // Tree-edge payload: u64 count, then (u32, u32) pairs.
+  SectionLoc te;
+  ASSERT_TRUE(find_section(img, recovery::kSecTreeEdges, &te));
+  bool swapped = false;
+  for (size_t off = te.payload_off + 8; off + 8 <= te.payload_off + te.len;
+       off += 8) {
+    if (le32(img, off) == 3 && le32(img, off + 4) == 4) {
+      img[off + 4] = 5;
+      swapped = true;
+    }
+  }
+  ASSERT_TRUE(swapped);
+  fix_section_crc(&img, te);
+
+  // Weight payload: u64 count, then (u64 key, i64 weight) pairs.
+  SectionLoc ws;
+  ASSERT_TRUE(find_section(img, recovery::kSecWeights, &ws));
+  swapped = false;
+  for (size_t off = ws.payload_off + 8; off + 16 <= ws.payload_off + ws.len;
+       off += 16) {
+    if (le64(img, off) == edge_key(3, 4)) {
+      put64(&img, off, edge_key(3, 5));
+      swapped = true;
+    }
+  }
+  ASSERT_TRUE(swapped);
+  fix_section_crc(&img, ws);
+  write_file(path, img);
+
+  conn::GraphConnectivity<seq::UfoTree> fresh(n);
+  EXPECT_EQ(fresh.load_checkpoint(path), RecoveryError::kInconsistent);
+  std::remove(path.c_str());
+}
+
 TEST(ConnectivityCheckpoint, BadTargetNotFresh) {
   const std::string path = tmp_path("connbt.snap");
   size_t n = 60;
