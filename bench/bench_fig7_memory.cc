@@ -1,5 +1,8 @@
 // Figure 7: memory usage after building a full n-vertex tree, per structure
 // per synthetic input (bytes, from each structure's own accounting).
+// "UFO" keeps every aggregate (Aggregates::kAll); "UFO-size" is the same
+// tree keeping component sizes only (Aggregates::kSize), the tier that
+// GraphConnectivity's spanning forest uses.
 #include "bench/common.h"
 #include "graph/generators.h"
 #include "seq/ett_skiplist.h"
@@ -15,9 +18,9 @@ using namespace ufo::bench;
 
 namespace {
 
-template <class Tree>
-double built_mbytes(size_t n, const EdgeList& edges) {
-  Tree t(n);
+template <class Tree, class... Args>
+double built_mbytes(size_t n, const EdgeList& edges, Args... args) {
+  Tree t(n, args...);
   for (const Edge& e : edges) t.link(e.u, e.v, e.w);
   return static_cast<double>(t.memory_bytes()) / (1024.0 * 1024.0);
 }
@@ -29,12 +32,14 @@ int main(int argc, char** argv) {
   size_t n = opt.n ? opt.n : (opt.quick ? 2000 : 30000);
   std::printf("[fig7] memory after full build, n=%zu (MiB)\n", n);
   print_header("synthetic trees", "input",
-               {"LinkCut", "UFO", "SplayTop", "ETT-Treap", "ETT-Splay",
-                "ETT-Skip", "Topology", "RC"});
+               {"LinkCut", "UFO", "UFO-size", "SplayTop", "ETT-Treap",
+                "ETT-Splay", "ETT-Skip", "Topology", "RC"});
   for (const auto& input : gen::synthetic_suite(n, 12)) {
     std::printf("%-26s", input.name.c_str());
     print_cell(built_mbytes<seq::LinkCutTree>(input.n, input.edges));
     print_cell(built_mbytes<seq::UfoTree>(input.n, input.edges));
+    print_cell(built_mbytes<seq::UfoTree>(input.n, input.edges,
+                                          core::Aggregates::kSize));
     print_cell(built_mbytes<seq::SplayTopTree>(input.n, input.edges));
     print_cell(built_mbytes<seq::EttTreap>(input.n, input.edges));
     print_cell(built_mbytes<seq::EttSplay>(input.n, input.edges));

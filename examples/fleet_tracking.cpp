@@ -49,7 +49,9 @@ int main(int argc, char** argv) {
   size_t n = side * side;
   EdgeList roads = gen::grid_graph(side, side);
 
-  UfoConnectivity net(n);
+  // The depot queries below (nearest marked vertex, diameter, center,
+  // median) read the full aggregate set, not just component sizes.
+  UfoConnectivity net(n, core::Aggregates::kAll);
   bool recovered = false;
   if (recover && !ckpt.empty()) {
     recovery::LoadStats st;

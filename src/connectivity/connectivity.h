@@ -7,7 +7,8 @@
 // top of a UFO-tree backend (seq::UfoTree or par::UfoTree):
 //
 //   * a spanning forest of the current graph, held in the Backend; its leaf
-//     adjacency is the only copy of the tree edges;
+//     adjacency is the only copy of the tree edges, and by default it
+//     maintains component sizes only (core::Aggregates::kSize);
 //   * every remaining edge in a non-tree EdgeStore (per-vertex adjacency on
 //     the phase-concurrent hash table);
 //   * one weight map keyed by edge, holding exactly the graph's edges, which
@@ -111,8 +112,12 @@ class GraphConnectivity {
  public:
   using backend_type = Backend;
 
-  explicit GraphConnectivity(size_t n)
-      : n_(n), forest_(n), nontree_(n), components_(n) {}
+  // The spanning forest keeps component sizes only by default, which is all
+  // the connectivity operations read. Pass core::Aggregates::kAll to run
+  // path, subtree and non-local queries on forest().
+  explicit GraphConnectivity(size_t n,
+                             core::Aggregates a = core::Aggregates::kSize)
+      : n_(n), forest_(n, a), nontree_(n), components_(n) {}
 
   size_t size() const { return n_; }
   size_t num_edges() const { return num_tree_edges() + nontree_.edges(); }
@@ -121,18 +126,20 @@ class GraphConnectivity {
   bool has_edge(Vertex u, Vertex v) const {
     return u != v && weight_.contains(edge_key(u, v));
   }
+  // False when either endpoint is out of range.
   bool connected(Vertex u, Vertex v) const {
-    return u == v || forest_.connected(u, v);
+    return u < n_ && v < n_ && (u == v || forest_.connected(u, v));
   }
 
   // The spanning forest itself: path/subtree/non-local queries on it are
-  // meaningful for any workload that treats promoted edges as routes.
+  // meaningful for any workload that treats promoted edges as routes. They
+  // need a layer constructed with core::Aggregates::kAll.
   const Backend& forest() const { return forest_; }
 
   // Vertex annotations pass through to the backend when it supports them
   // (weights feed subtree aggregates, marks feed nearest-marked queries);
   // they never affect connectivity, so exposing them cannot desync the
-  // spanning forest.
+  // spanning forest. On a size-only forest they are stored but unused.
   void set_vertex_weight(Vertex v, Weight w)
     requires core::SubtreeQueryable<Backend>
   {
@@ -144,8 +151,11 @@ class GraphConnectivity {
     forest_.set_mark(v, m);
   }
 
-  // Number of vertices in v's component, O(height).
-  size_t component_size(Vertex v) const { return forest_.component_size(v); }
+  // Number of vertices in v's component, O(height); 0 when v is out of
+  // range.
+  size_t component_size(Vertex v) const {
+    return v < n_ ? forest_.component_size(v) : 0;
+  }
 
   // --- Single-edge updates --------------------------------------------------
   // Insert {u, v}. Returns false (no-op) on self-loops and duplicates.

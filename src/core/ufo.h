@@ -13,7 +13,9 @@
 //                      level-synchronous batch updates on the fork-join
 //                      runtime, same query suite as UfoForest)
 //   UfoConnectivity  — general-graph connectivity (spanning forest over the
-//                      UFO tree + non-tree edge store; src/connectivity/)
+//                      UFO tree + non-tree edge store; src/connectivity/;
+//                      the forest keeps component sizes only unless
+//                      constructed with core::Aggregates::kAll)
 //   ParUfoConnectivity — the same subsystem over the parallel backend
 #pragma once
 

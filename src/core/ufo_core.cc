@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "parallel/primitives.h"
@@ -14,9 +15,11 @@
 
 namespace ufo::core {
 
-UfoCore::UfoCore(size_t n) : n_(n), vweight_(n, 1), marked_(n, 0) {
+UfoCore::UfoCore(size_t n, Aggregates a)
+    : n_(n), agg_(a), vweight_(n, 1), marked_(n, 0) {
   hot_.resize(n + 1);
-  cold_.resize(n + 1);
+  sizes_.resize(n + 1);
+  if (agg_ == Aggregates::kAll) cold_.resize(n + 1);
   for (Vertex v = 0; v < n; ++v) {
     hot_[leaf_id(v)].leaf_vertex = v;
     hot_[leaf_id(v)].level = 0;
@@ -26,10 +29,11 @@ UfoCore::UfoCore(size_t n) : n_(n), vweight_(n, 1), marked_(n, 0) {
 }
 
 void UfoCore::refresh_leaf(uint32_t leaf) {
+  sizes_[leaf].n_verts = 1;
+  if (agg_ == Aggregates::kSize) return;
   const Hot& h = hot_[leaf];
   Cold& c = cold_[leaf];
   Vertex v = h.leaf_vertex;
-  c.n_verts = 1;
   c.sub_sum = vweight_[v];
   c.path_sum = 0;
   c.path_max = kNegInf;
@@ -69,7 +73,8 @@ uint32_t UfoCore::alloc_cluster(int32_t level) {
   } else {
     id = pool_size();
     hot_.emplace_back();
-    cold_.emplace_back();
+    sizes_.emplace_back();
+    if (agg_ == Aggregates::kAll) cold_.emplace_back();
   }
   hot_[id].level = level;
   ++live_clusters_;
@@ -84,17 +89,19 @@ void UfoCore::free_cluster(uint32_t c) {
 
 void UfoCore::reset_cluster(uint32_t c) {
   Hot& h = hot_[c];
-  Cold& d = cold_[c];
   int32_t level = h.level;
   if (h.adj_index != kNullSlab)
     idx_pool_.free_slab(h.adj_index, 2 * h.nbrs.cap, level);
   if (h.nbrs.cap) adj_pool_.free_slab(h.nbrs.head, h.nbrs.cap, level);
   if (h.children.cap)
     child_pool_.free_slab(h.children.head, h.children.cap, level);
-  if (d.rake != kNullSlab) rake_pool_.free_obj(d.rake);
+  if (agg_ == Aggregates::kAll) {
+    if (cold_[c].rake != kNullSlab) rake_pool_.free_obj(cold_[c].rake);
+    cold_[c] = Cold{};
+  }
   h = Hot{};
   h.level = kFreedLevel;
-  d = Cold{};
+  sizes_[c] = SizeRec{};
   --live_clusters_;
   UFO_STAT("core.cluster.frees", 1);
 }
@@ -114,11 +121,14 @@ void UfoCore::recycle_clusters(const std::vector<uint32_t>& ids) {
   par::parallel_for(0, ids.size(), [&](size_t i) {
     uint32_t c = ids[i];
     Hot& h = hot_[c];
-    Cold& d = cold_[c];
-    freed[i] = {h.nbrs, h.children, h.adj_index, d.rake, h.level};
+    freed[i] = {h.nbrs, h.children, h.adj_index, kNullSlab, h.level};
+    if (agg_ == Aggregates::kAll) {
+      freed[i].rake = cold_[c].rake;
+      cold_[c] = Cold{};
+    }
     h = Hot{};
     h.level = kFreedLevel;
-    d = Cold{};
+    sizes_[c] = SizeRec{};
   });
   for (size_t i = 0; i < ids.size(); ++i) {
     const Freed& f = freed[i];
@@ -374,12 +384,12 @@ bool UfoCore::has_edge(Vertex u, Vertex v) const {
 
 void UfoCore::set_vertex_weight(Vertex v, Weight w) {
   vweight_[v] = w;
-  recompute_chain(leaf_id(v));
+  if (agg_ == Aggregates::kAll) recompute_chain(leaf_id(v));
 }
 
 void UfoCore::set_mark(Vertex v, bool m) {
   marked_[v] = m ? 1 : 0;
-  recompute_chain(leaf_id(v));
+  if (agg_ == Aggregates::kAll) recompute_chain(leaf_id(v));
 }
 
 void UfoCore::recompute_chain(uint32_t c) {
@@ -390,7 +400,7 @@ void UfoCore::recompute_chain(uint32_t c) {
     if (par != 0) {
       const Hot& ph = hot_[par];
       if (ph.center_child != 0 && ph.center_child != cur &&
-          cold_[par].rake_index_valid) {
+          sizes_[par].rake_index_valid) {
         // cur is a rake whose values changed: refresh its index entry.
         rake_index_remove(par, cur);
         rake_index_add(par, cur);
@@ -412,21 +422,24 @@ void UfoCore::rake_ensure(uint32_t p) {
 // Contribution of rake r hanging off the center vertex (depth includes the
 // rake edge hop). Caches the values on r so removal is exact.
 void UfoCore::rake_contrib_refresh(uint32_t r) {
+  sizes_[r].contrib_nverts = sizes_[r].n_verts;
+  if (agg_ == Aggregates::kSize) return;
   Cold& rc = cold_[r];
   int sr = boundary_slot(
       rc, hot_[r].nbrs.size == 0 ? kNoVertex : nbrs(r)[0].my_end);
   rc.contrib_depth = 1 + (sr >= 0 ? rc.max_dist[sr] : 0);
   rc.contrib_mark =
       sr >= 0 && rc.marked_dist[sr] < kInf ? 1 + rc.marked_dist[sr] : kInf;
-  rc.contrib_diam = rc.diam;
+  rc.contrib_diam = static_cast<uint32_t>(rc.diam);
   rc.contrib_sub = rc.sub_sum;
   rc.contrib_sumdist = (sr >= 0 ? rc.sum_dist[sr] : 0) + rc.sub_sum;
-  rc.contrib_nverts = rc.n_verts;
   rc.contrib_marked = rc.marked_count;
 }
 
 void UfoCore::rake_index_add(uint32_t p, uint32_t r) {
   rake_contrib_refresh(r);
+  sizes_[p].rake_nverts += sizes_[r].contrib_nverts;
+  if (agg_ == Aggregates::kSize) return;
   rake_ensure(p);
   RakeIndex& ri = rake_of(p);
   const Cold& rc = cold_[r];
@@ -435,11 +448,12 @@ void UfoCore::rake_index_add(uint32_t p, uint32_t r) {
   ri.diams.insert(rc.contrib_diam);
   ri.sub_total += rc.contrib_sub;
   ri.sumdist_total += rc.contrib_sumdist;
-  ri.nverts_total += rc.contrib_nverts;
   ri.marked_total += rc.contrib_marked;
 }
 
 void UfoCore::rake_index_remove(uint32_t p, uint32_t r) {
+  sizes_[p].rake_nverts -= sizes_[r].contrib_nverts;
+  if (agg_ == Aggregates::kSize) return;
   assert(cold_[p].rake != kNullSlab);
   RakeIndex& ri = rake_of(p);
   const Cold& rc = cold_[r];
@@ -448,7 +462,6 @@ void UfoCore::rake_index_remove(uint32_t p, uint32_t r) {
   ri.diams.erase_one(rc.contrib_diam);
   ri.sub_total -= rc.contrib_sub;
   ri.sumdist_total -= rc.contrib_sumdist;
-  ri.nverts_total -= rc.contrib_nverts;
   ri.marked_total -= rc.contrib_marked;
 }
 
@@ -458,11 +471,17 @@ void UfoCore::rake_index_remove(uint32_t p, uint32_t r) {
 // backend opted in and the batch is large; serial otherwise.
 void UfoCore::rake_index_merge_runs(uint32_t p,
                                     const std::vector<uint32_t>& rakes) {
-  rake_ensure(p);
   size_t n = rakes.size();
-  std::vector<int64_t> depths(n), diams(n), marks;
-  if (parallel_bulk_ && n >= kRakeBulkThreshold) {
+  bool parallel = parallel_bulk_ && n >= kRakeBulkThreshold;
+  if (parallel)
     par::parallel_for(0, n, [&](size_t i) { rake_contrib_refresh(rakes[i]); });
+  else
+    for (uint32_t r : rakes) rake_contrib_refresh(r);
+  for (uint32_t r : rakes) sizes_[p].rake_nverts += sizes_[r].contrib_nverts;
+  if (agg_ == Aggregates::kSize) return;
+  rake_ensure(p);
+  std::vector<int64_t> depths(n), diams(n), marks;
+  if (parallel) {
     par::parallel_for(0, n, [&](size_t i) {
       depths[i] = cold_[rakes[i]].contrib_depth;
       diams[i] = cold_[rakes[i]].contrib_diam;
@@ -475,7 +494,6 @@ void UfoCore::rake_index_merge_runs(uint32_t p,
   } else {
     marks.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      rake_contrib_refresh(rakes[i]);
       const Cold& rc = cold_[rakes[i]];
       depths[i] = rc.contrib_depth;
       diams[i] = rc.contrib_diam;
@@ -493,12 +511,13 @@ void UfoCore::rake_index_merge_runs(uint32_t p,
     const Cold& rc = cold_[r];
     ri.sub_total += rc.contrib_sub;
     ri.sumdist_total += rc.contrib_sumdist;
-    ri.nverts_total += rc.contrib_nverts;
     ri.marked_total += rc.contrib_marked;
   }
 }
 
 void UfoCore::rake_index_clear(uint32_t p) {
+  sizes_[p].rake_nverts = 0;
+  if (agg_ == Aggregates::kSize) return;
   rake_ensure(p);
   rake_of(p).clear();
 }
@@ -517,13 +536,14 @@ void UfoCore::rake_index_build_bulk(uint32_t p) {
 
 void UfoCore::rake_index_bulk_add(uint32_t p,
                                   const std::vector<uint32_t>& rakes) {
-  assert(cold_[p].rake_index_valid);
+  assert(sizes_[p].rake_index_valid);
   if (rakes.size() < 64) {  // merge machinery not worth spinning up
     for (uint32_t r : rakes) rake_index_add(p, r);
     return;
   }
-  rake_ensure(p);
-  if (rakes.size() * 4 >= rake_of(p).depths.size()) {
+  // The rakes are already children of p; the rest of its non-center
+  // children are the indexed ones.
+  if (rakes.size() * 4 >= fanout(p) - 1 - rakes.size()) {
     // The new set rivals the old: one bulk rebuild beats merging.
     rake_index_build_bulk(p);
     return;
@@ -537,6 +557,8 @@ void UfoCore::rake_index_bulk_add(uint32_t p,
 // live fields.
 void UfoCore::recompute_from_rake_index(uint32_t p) {
   const Hot& ph = hot_[p];
+  sizes_[p].n_verts = sizes_[ph.center_child].n_verts + sizes_[p].rake_nverts;
+  if (agg_ == Aggregates::kSize) return;
   Cold& pc = cold_[p];
   RakeIndex& ri = rake_of(p);
   const Cold& x = cold_[ph.center_child];
@@ -545,7 +567,6 @@ void UfoCore::recompute_from_rake_index(uint32_t p) {
   if (sx < 0) sx = 0;  // degraded center mid-update; repaired by the walks
   pc.bv[0] = ph.nbrs.size == 0 ? kNoVertex : b;
   pc.bv[1] = kNoVertex;
-  pc.n_verts = x.n_verts + ri.nverts_total;
   pc.sub_sum = x.sub_sum + ri.sub_total;
   pc.marked_count = x.marked_count + ri.marked_total;
   int64_t top[2];
@@ -583,11 +604,23 @@ void UfoCore::recompute_from_rake_index(uint32_t p) {
 
 void UfoCore::recompute_aggregates(uint32_t p) {
   const Hot& ph = hot_[p];
-  Cold& pc = cold_[p];
   if (ph.children.size == 0) {  // leaf cluster
     refresh_leaf(p);
     return;
   }
+  if (ph.center_child != 0) {  // superunary (high-degree) merge
+    if (!sizes_[p].rake_index_valid) {
+      rake_index_build_bulk(p);
+      sizes_[p].rake_index_valid = true;
+    }
+    recompute_from_rake_index(p);
+    return;
+  }
+  Span<const uint32_t> kids = children(p);
+  sizes_[p].n_verts = sizes_[kids[0]].n_verts +
+                      (ph.children.size == 2 ? sizes_[kids[1]].n_verts : 0);
+  if (agg_ == Aggregates::kSize) return;
+  Cold& pc = cold_[p];
   pc.bv[0] = pc.bv[1] = kNoVertex;
   for (const Adj& a : nbrs(p)) {
     if (pc.bv[0] == kNoVertex || pc.bv[0] == a.my_end) {
@@ -598,18 +631,8 @@ void UfoCore::recompute_aggregates(uint32_t p) {
       assert(false && "cluster has >2 distinct boundary vertices");
     }
   }
-  if (ph.center_child != 0) {  // superunary (high-degree) merge
-    if (!pc.rake_index_valid) {
-      rake_index_build_bulk(p);
-      pc.rake_index_valid = true;
-    }
-    recompute_from_rake_index(p);
-    return;
-  }
-  Span<const uint32_t> kids = children(p);
   if (ph.children.size == 1) {
     const Cold& c = cold_[kids[0]];
-    pc.n_verts = c.n_verts;
     pc.sub_sum = c.sub_sum;
     pc.marked_count = c.marked_count;
     pc.path_sum = c.path_sum;
@@ -635,7 +658,6 @@ void UfoCore::recompute_aggregates(uint32_t p) {
   assert(ph.children.size == 2);
   const Cold& a = cold_[kids[0]];
   const Cold& b = cold_[kids[1]];
-  pc.n_verts = a.n_verts + b.n_verts;
   pc.sub_sum = a.sub_sum + b.sub_sum;
   pc.marked_count = a.marked_count + b.marked_count;
   int sa = boundary_slot(a, ph.merge_u);
@@ -723,6 +745,54 @@ void UfoCore::recompute_aggregates(uint32_t p) {
   }
 }
 
+bool UfoCore::recompute_matches(uint32_t id, bool report) {
+  SizeRec ssaved = sizes_[id];
+  Cold saved = agg_ == Aggregates::kAll ? cold_[id] : Cold{};
+  sizes_[id].rake_index_valid = false;  // verify incremental == full
+  recompute_aggregates(id);
+  const SizeRec& s = sizes_[id];
+  bool ok = ssaved.n_verts == s.n_verts &&
+            (!ssaved.rake_index_valid || ssaved.rake_nverts == s.rake_nverts);
+  if (agg_ == Aggregates::kAll) {
+    const Cold& c = cold_[id];
+    ok = ok && saved.sub_sum == c.sub_sum && saved.path_sum == c.path_sum &&
+         saved.path_max == c.path_max && saved.path_len == c.path_len &&
+         saved.diam == c.diam && saved.bv[0] == c.bv[0] &&
+         saved.bv[1] == c.bv[1] && saved.max_dist[0] == c.max_dist[0] &&
+         saved.max_dist[1] == c.max_dist[1] &&
+         saved.sum_dist[0] == c.sum_dist[0] &&
+         saved.sum_dist[1] == c.sum_dist[1] &&
+         saved.marked_dist[0] == c.marked_dist[0] &&
+         saved.marked_dist[1] == c.marked_dist[1] &&
+         saved.marked_count == c.marked_count;
+  }
+  if (!ok && report) {
+    std::fprintf(stderr,
+                 "aggregate drift at cluster %u (level %d fanout %zu center "
+                 "%u): nv %u->%u rake nv %u->%u\n",
+                 id, hot_[id].level, fanout(id), hot_[id].center_child,
+                 ssaved.n_verts, s.n_verts, ssaved.rake_nverts, s.rake_nverts);
+    if (agg_ == Aggregates::kAll) {
+      const Cold& c = cold_[id];
+      std::fprintf(stderr,
+                   "  psum %lld->%lld pmax %lld->%lld plen %lld->%lld "
+                   "diam %lld->%lld bv (%u,%u)->(%u,%u) "
+                   "maxd (%lld,%lld)->(%lld,%lld) sumd %lld->%lld "
+                   "markd %lld->%lld\n",
+                   (long long)saved.path_sum, (long long)c.path_sum,
+                   (long long)saved.path_max, (long long)c.path_max,
+                   (long long)saved.path_len, (long long)c.path_len,
+                   (long long)saved.diam, (long long)c.diam, saved.bv[0],
+                   saved.bv[1], c.bv[0], c.bv[1], (long long)saved.max_dist[0],
+                   (long long)saved.max_dist[1], (long long)c.max_dist[0],
+                   (long long)c.max_dist[1], (long long)saved.sum_dist[0],
+                   (long long)c.sum_dist[0], (long long)saved.marked_dist[0],
+                   (long long)c.marked_dist[0]);
+    }
+  }
+  return ok;
+}
+
 bool UfoCore::check_aggregates() {
   std::vector<uint32_t> ids;
   for (uint32_t id = 1; id < pool_size(); ++id)
@@ -731,42 +801,7 @@ bool UfoCore::check_aggregates() {
     return hot_[a].level < hot_[b].level;
   });
   bool ok = true;
-  for (uint32_t id : ids) {
-    Cold saved = cold_[id];
-    cold_[id].rake_index_valid = false;  // verify incremental == full
-    recompute_aggregates(id);
-    const Cold& c = cold_[id];
-    if (saved.n_verts != c.n_verts || saved.sub_sum != c.sub_sum ||
-        saved.path_sum != c.path_sum || saved.path_max != c.path_max ||
-        saved.path_len != c.path_len || saved.diam != c.diam ||
-        saved.bv[0] != c.bv[0] || saved.bv[1] != c.bv[1] ||
-        saved.max_dist[0] != c.max_dist[0] ||
-        saved.max_dist[1] != c.max_dist[1] ||
-        saved.sum_dist[0] != c.sum_dist[0] ||
-        saved.sum_dist[1] != c.sum_dist[1] ||
-        saved.marked_dist[0] != c.marked_dist[0] ||
-        saved.marked_dist[1] != c.marked_dist[1] ||
-        saved.marked_count != c.marked_count) {
-      std::fprintf(stderr,
-                   "aggregate drift at cluster %u (level %d fanout %zu "
-                   "center %u): nv %u->%u psum %lld->%lld pmax %lld->%lld "
-                   "plen %lld->%lld diam %lld->%lld bv (%u,%u)->(%u,%u) "
-                   "maxd (%lld,%lld)->(%lld,%lld) sumd %lld->%lld "
-                   "markd %lld->%lld\n",
-                   id, hot_[id].level, fanout(id), hot_[id].center_child,
-                   saved.n_verts, c.n_verts, (long long)saved.path_sum,
-                   (long long)c.path_sum, (long long)saved.path_max,
-                   (long long)c.path_max, (long long)saved.path_len,
-                   (long long)c.path_len, (long long)saved.diam,
-                   (long long)c.diam, saved.bv[0], saved.bv[1], c.bv[0],
-                   c.bv[1], (long long)saved.max_dist[0],
-                   (long long)saved.max_dist[1], (long long)c.max_dist[0],
-                   (long long)c.max_dist[1], (long long)saved.sum_dist[0],
-                   (long long)c.sum_dist[0], (long long)saved.marked_dist[0],
-                   (long long)c.marked_dist[0]);
-      ok = false;
-    }
-  }
+  for (uint32_t id : ids) ok = recompute_matches(id, true) && ok;
   return ok;
 }
 
@@ -779,7 +814,8 @@ size_t UfoCore::height(Vertex v) const {
 UfoCore::MemoryBreakdown UfoCore::memory_breakdown() const {
   MemoryBreakdown b;
   b.hot = hot_.capacity() * sizeof(Hot);
-  b.cold = cold_.capacity() * sizeof(Cold);
+  b.cold =
+      sizes_.capacity() * sizeof(SizeRec) + cold_.capacity() * sizeof(Cold);
   b.adjacency = adj_pool_.memory_bytes();
   b.children = child_pool_.memory_bytes();
   b.adj_index = idx_pool_.memory_bytes();
@@ -881,6 +917,15 @@ bool UfoCore::check_valid() const {
 // boundary vertex (the center), rakes attach at it, and cluster paths
 // through superunary clusters are empty.
 // ---------------------------------------------------------------------------
+
+void UfoCore::require_all(const char* query) const {
+  if (agg_ == Aggregates::kAll) return;
+  std::fprintf(stderr,
+               "ufo: %s needs a forest built with Aggregates::kAll; this one "
+               "keeps component sizes only\n",
+               query);
+  std::abort();
+}
 
 bool UfoCore::connected(Vertex u, Vertex v) const {
   if (u == v) return true;
@@ -999,6 +1044,7 @@ void UfoCore::side_to_center(uint32_t lca, uint32_t child, const RepPath& rp,
 }
 
 Weight UfoCore::path_sum(Vertex u, Vertex v) const {
+  require_all("path_sum");
   if (u == v) return 0;
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
   uint32_t cu = 0, cv = 0;
@@ -1023,6 +1069,7 @@ Weight UfoCore::path_sum(Vertex u, Vertex v) const {
 }
 
 Weight UfoCore::path_max(Vertex u, Vertex v) const {
+  require_all("path_max");
   assert(u != v);
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
   uint32_t cu = 0, cv = 0;
@@ -1045,6 +1092,7 @@ Weight UfoCore::path_max(Vertex u, Vertex v) const {
 }
 
 int64_t UfoCore::path_length(Vertex u, Vertex v) const {
+  require_all("path_length");
   if (u == v) return 0;
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
   uint32_t cu = 0, cv = 0;
@@ -1067,6 +1115,7 @@ int64_t UfoCore::path_length(Vertex u, Vertex v) const {
 }
 
 Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
+  require_all("subtree_sum");
   assert(has_edge(v, p));
   uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
   uint32_t cv = leaf_id(v), cp = leaf_id(p);
@@ -1143,13 +1192,14 @@ Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
 }
 
 size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
+  require_all("subtree_size");
   assert(has_edge(v, p));
   uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
   uint32_t cv = leaf_id(v), cp = leaf_id(p);
   while (hot_[cv].parent != lca) cv = hot_[cv].parent;
   while (hot_[cp].parent != lca) cp = hot_[cp].parent;
   const Cold& V = cold_[cv];
-  size_t acc = V.n_verts;
+  size_t acc = sizes_[cv].n_verts;
   bool in[2] = {false, false};
   for (int i = 0; i < 2; ++i)
     if (V.bv[i] != kNoVertex) in[i] = true;
@@ -1169,7 +1219,7 @@ size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
         for (uint32_t s : children(pid)) {
           if (s == x) continue;
           if (first && s == cp) continue;
-          if (b_in) acc += cold_[s].n_verts;
+          if (b_in) acc += sizes_[s].n_verts;
         }
         for (int i = 0; i < 2; ++i)
           if (pd.bv[i] != kNoVertex) nin[i] = b_in;
@@ -1179,7 +1229,7 @@ size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
         bool crossing = j >= 0 && in[j] && !first;
         if (crossing) {
           for (uint32_t s : children(pid))
-            if (s != x) acc += cold_[s].n_verts;
+            if (s != x) acc += sizes_[s].n_verts;
         }
         for (int i = 0; i < 2; ++i)
           if (pd.bv[i] != kNoVertex) nin[i] = crossing;
@@ -1195,10 +1245,9 @@ size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
       bool xfirst = (kids[0] == x);
       uint32_t sib = xfirst ? kids[1] : kids[0];
       Vertex xe = xfirst ? ph.merge_u : ph.merge_v;
-      const Cold& sd = cold_[sib];
       int jx = boundary_slot(xd, xe);
       bool sib_inside = jx >= 0 && in[jx] && !(first && sib == cp);
-      if (sib_inside) acc += sd.n_verts;
+      if (sib_inside) acc += sizes_[sib].n_verts;
       for (int i = 0; i < 2; ++i) {
         Vertex q = pd.bv[i];
         if (q == kNoVertex) continue;
@@ -1215,6 +1264,7 @@ size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
 }
 
 void UfoCore::path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const {
+  require_all("path_milestone");
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
   const Hot& L = hot_[lca];
   uint32_t cu = leaf_id(u);
@@ -1264,6 +1314,7 @@ static Vertex ufo_path_select(const UfoCore& t, Vertex from, Vertex to,
 }
 
 Vertex UfoCore::lca(Vertex u, Vertex v, Vertex r) const {
+  require_all("lca");
   if (u == v) return u;
   if (u == r || v == r) return r;
   int64_t duv = path_length(u, v);
@@ -1274,10 +1325,12 @@ Vertex UfoCore::lca(Vertex u, Vertex v, Vertex r) const {
 }
 
 int64_t UfoCore::component_diameter(Vertex v) const {
+  require_all("component_diameter");
   return cold_[tree_root(v)].diam;
 }
 
 int64_t UfoCore::nearest_marked_distance(Vertex v) const {
+  require_all("nearest_marked_distance");
   int64_t best = marked_[v] ? 0 : kInf;
   uint32_t c = leaf_id(v);
   int64_t len[2] = {0, 0};
@@ -1357,6 +1410,7 @@ int64_t UfoCore::nearest_marked_distance(Vertex v) const {
 }
 
 Vertex UfoCore::component_center(Vertex v) const {
+  require_all("component_center");
   uint32_t c = tree_root(v);
   int64_t ext[2] = {INT64_MIN / 4, INT64_MIN / 4};
   while (hot_[c].children.size != 0) {
@@ -1466,6 +1520,7 @@ Vertex UfoCore::component_center(Vertex v) const {
 }
 
 Vertex UfoCore::component_median(Vertex v) const {
+  require_all("component_median");
   uint32_t c = tree_root(v);
   int64_t extw[2] = {0, 0};
   while (hot_[c].children.size != 0) {

@@ -33,13 +33,15 @@
 //
 // Storage is structure-of-arrays (DESIGN.md, "Memory layout"): a 64-byte
 // hot topology record per cluster (everything the contraction / teardown /
-// query-climb loops touch), a cold aggregates record touched only by
-// recompute_aggregates and query leaves, and pooled slab storage for
-// adjacency lists, children lists, adjacency hash indexes, and rake
-// indexes. Slabs are index-addressed and recycled through per-level
-// freelists, so bulk teardown is a freelist splice instead of per-cluster
-// container destruction, and pointers into a slab stay valid across any
-// other allocation.
+// query-climb loops touch), a 16-byte size record, a cold aggregates record
+// touched only by recompute_aggregates and query leaves, and pooled slab
+// storage for adjacency lists, children lists, adjacency hash indexes, and
+// rake indexes. The cold records and rake indexes exist only in the
+// Aggregates::kAll tier; a kSize forest keeps sizes alone and answers only
+// the connectivity and size queries. Slabs are index-addressed and recycled
+// through per-level freelists, so bulk teardown is a freelist splice
+// instead of per-cluster container destruction, and pointers into a slab
+// stay valid across any other allocation.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +59,11 @@ class ForestSerializer;  // checkpointing (src/recovery/snapshot.h)
 
 namespace ufo::core {
 
+// Aggregate tier, fixed at construction. kSize maintains only component
+// sizes (the size record); kAll adds the cold record and rake indexes that
+// the path, subtree and non-local queries read.
+enum class Aggregates : uint8_t { kSize, kAll };
+
 class UfoCore {
  public:
   size_t size() const { return n_; }
@@ -69,10 +76,14 @@ class UfoCore {
   void for_each_neighbor(Vertex v, F&& f) const {
     for (const Adj& a : nbrs(leaf_id(v))) f(a.other_end);
   }
+  // On a kSize forest these only store the annotation.
   void set_vertex_weight(Vertex v, Weight w);
   void set_mark(Vertex v, bool marked);
 
   // --- Queries --------------------------------------------------------------
+  // connected, component_id, component_size (and height, degree, has_edge,
+  // for_each_neighbor) work in both tiers; every other query prints a
+  // message and aborts on a kSize forest.
   bool connected(Vertex u, Vertex v) const;
   // Opaque identifier of v's component: equal for two vertices iff they are
   // connected. Only valid until the next update (the id is the component's
@@ -80,7 +91,7 @@ class UfoCore {
   // batch staging) canonicalize many endpoints without pairwise queries.
   uint64_t component_id(Vertex v) const { return tree_root(v); }
   // Number of vertices in v's component: the root cluster's n_verts, O(height).
-  size_t component_size(Vertex v) const { return cold_[tree_root(v)].n_verts; }
+  size_t component_size(Vertex v) const { return sizes_[tree_root(v)].n_verts; }
   Weight path_sum(Vertex u, Vertex v) const;
   Weight path_max(Vertex u, Vertex v) const;
   int64_t path_length(Vertex u, Vertex v) const;  // hop count
@@ -98,7 +109,7 @@ class UfoCore {
   // including recycled-but-retained slab and rake-index capacity).
   struct MemoryBreakdown {
     size_t hot = 0;        // hot topology records (capacity)
-    size_t cold = 0;       // cold aggregate records (capacity)
+    size_t cold = 0;       // size + cold aggregate records (capacity)
     size_t adjacency = 0;  // pooled adjacency slabs
     size_t children = 0;   // pooled children slabs
     size_t adj_index = 0;  // pooled high-degree adjacency hash indexes
@@ -122,7 +133,7 @@ class UfoCore {
   bool check_aggregates();
 
  protected:
-  explicit UfoCore(size_t n);
+  UfoCore(size_t n, Aggregates a);
   UfoCore(const UfoCore&) = delete;
   UfoCore& operator=(const UfoCore&) = delete;
 
@@ -169,9 +180,24 @@ class UfoCore {
   };
   static_assert(sizeof(Hot) == 64, "hot record must be one cache line");
 
-  // Cold aggregates record: identical quantities to TopologyTree (see
-  // topology_tree.h) plus the rake-index handle and the cached contribution
-  // this cluster last pushed into a superunary parent's rake index.
+  // Size record, present in both tiers: the only aggregate the connectivity
+  // layer reads, plus the size part of the rake-index bookkeeping.
+  struct SizeRec {
+    uint32_t n_verts = 1;
+    // n_verts as last added to a superunary parent's rake total.
+    uint32_t contrib_nverts = 0;
+    // Superunary clusters: sum of the rakes' contrib_nverts.
+    uint32_t rake_nverts = 0;
+    // Superunary clusters: the rake total (and, in kAll, the rake index
+    // bags) are current. Validity gates the contents, not the allocation.
+    bool rake_index_valid = false;
+  };
+  static_assert(sizeof(SizeRec) <= 16, "size record must stay small");
+
+  // Cold aggregates record (kAll only): the rest of TopologyTree's
+  // quantities (see topology_tree.h) plus the rake-index handle and the
+  // cached contribution this cluster last pushed into a superunary parent's
+  // rake index.
   struct Cold {
     Weight sub_sum = 0;
     Weight path_sum = 0;
@@ -183,32 +209,32 @@ class UfoCore {
     int64_t marked_dist[2] = {kInf, kInf};
     int64_t contrib_depth = 0;
     int64_t contrib_mark = 0;
-    int64_t contrib_diam = 0;
     int64_t contrib_sumdist = 0;
     Weight contrib_sub = 0;
-    uint32_t n_verts = 1;
+    // A diameter is at most n - 1 hops, so 32 bits hold it; this keeps a
+    // kAll cluster's size + cold records within 160 bytes.
+    uint32_t contrib_diam = 0;
     uint32_t marked_count = 0;
-    uint32_t contrib_nverts = 0;
     uint32_t contrib_marked = 0;
     Vertex bv[2] = {kNoVertex, kNoVertex};
     // Rake index handle into rake_pool_ (superunary clusters only;
-    // allocated lazily, recycled with the cluster). May be allocated while
-    // rake_index_valid is false — validity gates the *contents*.
+    // allocated lazily, recycled with the cluster).
     uint32_t rake = kNullSlab;
-    bool rake_index_valid = false;
   };
+  static_assert(sizeof(SizeRec) + sizeof(Cold) <= 160,
+                "a kAll cluster's aggregate records must fit in 160 bytes");
 
   // Incremental rake index for one superunary cluster, standing in for the
   // paper's rank trees (Section 4.2): sorted bags index the non-invertible
-  // rake contributions; running totals cover the invertible parts; each
-  // rake caches the contribution it last added (Cold::contrib_*).
+  // rake contributions; running totals cover the invertible parts (the size
+  // total lives in SizeRec::rake_nverts); each rake caches the contribution
+  // it last added (Cold::contrib_*). kAll only.
   struct RakeIndex {
     SortedBag depths;  // 1 + rake.max_dist
     SortedBag marks;   // 1 + rake.marked_dist (finite only)
     SortedBag diams;   // rake.diam
     Weight sub_total = 0;
     int64_t sumdist_total = 0;
-    uint32_t nverts_total = 0;
     uint32_t marked_total = 0;
     void clear() {
       depths.clear();
@@ -216,7 +242,6 @@ class UfoCore {
       diams.clear();
       sub_total = 0;
       sumdist_total = 0;
-      nverts_total = 0;
       marked_total = 0;
     }
     size_t memory_bytes() const {
@@ -226,7 +251,7 @@ class UfoCore {
   };
 
   uint32_t leaf_id(Vertex v) const { return v + 1; }
-  // Number of cluster-record slots (hot_/cold_ length), the bound for id
+  // Number of cluster-record slots (hot_/sizes_ length), the bound for id
   // scans and scratch sizing. Cluster ids are 1..pool_size()-1; slot 0 is
   // the null cluster.
   uint32_t pool_size() const { return static_cast<uint32_t>(hot_.size()); }
@@ -306,8 +331,8 @@ class UfoCore {
   // Shared tail of the two bulk paths: refresh contributions, sort, merge
   // runs into p's bags, accumulate totals.
   void rake_index_merge_runs(uint32_t p, const std::vector<uint32_t>& rakes);
-  // Empty p's rake index bags and totals (does not touch validity),
-  // allocating the pooled index if p has none yet.
+  // Empty p's rake totals and, in kAll, its index bags (does not touch
+  // validity), allocating the pooled index if p has none yet.
   void rake_index_clear(uint32_t p);
   static constexpr size_t kRakeBulkThreshold = 1024;
   // Recompute p's aggregates from the valid rake index + fresh center
@@ -316,6 +341,11 @@ class UfoCore {
   // Recompute c and every ancestor, refreshing c's (and each ancestor's)
   // cached contribution in superunary parents' rake indexes on the way up.
   void recompute_chain(uint32_t c);
+  // Recompute id from its children (rebuilding a rake index from scratch)
+  // and report whether the maintained values matched; prints the drift to
+  // stderr when `report`. The check behind check_aggregates and snapshot
+  // verification.
+  bool recompute_matches(uint32_t id, bool report);
 
   struct RepPath {
     Weight sum[2] = {0, 0};
@@ -348,19 +378,23 @@ class UfoCore {
   // leaves it false so "seq" never touches the pool (it stays an honest
   // single-threaded baseline and spawns no background threads).
   bool parallel_bulk_ = false;
+  Aggregates agg_;
 
   std::vector<Hot> hot_;
-  std::vector<Cold> cold_;
+  std::vector<SizeRec> sizes_;
+  std::vector<Cold> cold_;  // empty in kSize
   SlabPool<Adj> adj_pool_;
   SlabPool<uint32_t> child_pool_;
   SlabPool<uint64_t> idx_pool_;  // adjacency hash-index slabs
-  ObjectPool<RakeIndex> rake_pool_;
+  ObjectPool<RakeIndex> rake_pool_;  // unused in kSize
   std::vector<uint32_t> free_;
   std::vector<Weight> vweight_;
   std::vector<uint8_t> marked_;
   size_t live_clusters_ = 0;
 
  private:
+  // Aborts with a message naming `query` unless this is a kAll forest.
+  void require_all(const char* query) const;
   RakeIndex& rake_of(uint32_t p) { return rake_pool_.at(cold_[p].rake); }
   void rake_ensure(uint32_t p);
   void children_push(uint32_t p, uint32_t c);

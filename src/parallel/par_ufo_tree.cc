@@ -18,7 +18,7 @@
 
 namespace ufo::par {
 
-UfoTree::UfoTree(size_t n) : core::UfoCore(n) {
+UfoTree::UfoTree(size_t n, core::Aggregates a) : core::UfoCore(n, a) {
   parallel_bulk_ = true;  // rake indexes may use the fork-join bulk paths
   ensure_scratch();
 }
@@ -176,7 +176,7 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
         if (!t.deleted) continue;
         if (ch.center_child == t.child) {
           center_gone = true;
-        } else if (ch.center_child != 0 && cold_[cur].rake_index_valid) {
+        } else if (ch.center_child != 0 && sizes_[cur].rake_index_valid) {
           rake_index_remove(cur, t.child);
         }
         remove_child(cur, t.child);
@@ -242,7 +242,7 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
           if (t.deleted) continue;
           uint32_t c = t.child;
           if (hot_[c].nbrs.size > 2) continue;  // stays attached
-          if (ch.center_child != 0 && cold_[cur].rake_index_valid)
+          if (ch.center_child != 0 && sizes_[cur].rake_index_valid)
             rake_index_remove(cur, c);
           remove_child(cur, c);
           std::atomic_ref<uint32_t>(hot_[c].parent)
@@ -298,7 +298,7 @@ void UfoTree::force_detach(uint32_t c) {
   uint32_t p = hot_[c].parent;
   assert(p != 0);
   if (hot_[p].center_child != 0 && hot_[p].center_child != c &&
-      cold_[p].rake_index_valid)
+      sizes_[p].rake_index_valid)
     rake_index_remove(p, c);
   remove_child(p, c);
   hot_[c].parent = 0;
@@ -446,7 +446,10 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
            hot_[c].level == lvl;
   });
   // Everything entering a round gets fresh aggregates: shed survivors lost
-  // a child, frontier leaves changed adjacency. Idempotent for new parents.
+  // a child, frontier leaves changed adjacency, and the previous round's
+  // new parents get their first ones here (superunary parents above the
+  // bulk threshold build their rake index with the parallel sorted-run
+  // constructor).
   parallel_for(0, active.size(),
                [&](size_t i) { recompute_aggregates(active[i]); });
   active = filter(active,
@@ -637,7 +640,7 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
         assert(pyh.children.size == 1 && children(py)[0] == y);
         pyh.center_child = y;
         rake_index_clear(py);
-        cold_[py].rake_index_valid = true;
+        sizes_[py].rake_index_valid = true;
       }
       assert(pyh.center_child == y && "rake-attach target must center y");
       std::vector<uint32_t> newly(end - begin);
@@ -645,7 +648,7 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
         newly[i - begin] = engaged[i].second;
         add_child(py, engaged[i].second);
       }
-      if (cold_[py].rake_index_valid) rake_index_bulk_add(py, newly);
+      if (sizes_[py].rake_index_valid) rake_index_bulk_add(py, newly);
       if (pyh.parent == 0) target_rooted[g] = 1;
     });
     for (size_t g = 0; g < egroups.size(); ++g) {
@@ -728,15 +731,10 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
     }
   }
 
-  // Phase 5: aggregates — children and adjacency are final; one task per
-  // parent (superunary parents above the bulk threshold build their rake
-  // index with the parallel sorted-run constructor).
-  parallel_for(0, parents.size(),
-               [&](size_t i) { recompute_aggregates(parents[i]); });
-
-  // Phase 6: the new parents recluster one level up, and survivors whose
-  // degree drifted are rechecked (their detaches land strictly above lvl,
-  // so the upward sweep picks them up).
+  // Phase 5: the new parents recluster one level up (their aggregates are
+  // computed when they enter that round), and survivors whose degree
+  // drifted are rechecked (their detaches land strictly above lvl, so the
+  // upward sweep picks them up).
   for (uint32_t p : parents) root_into_frontier(p);
   drain_revalidate();
 }
@@ -776,7 +774,7 @@ void UfoTree::flush_dirty() {
       if (buckets.size() <= l + 1) buckets.resize(l + 2);
       buckets[l + 1].push_back(p);
       if (hot_[p].center_child != 0 && hot_[p].center_child != c &&
-          cold_[p].rake_index_valid)
+          sizes_[p].rake_index_valid)
         stale.emplace_back(p, c);
     }
     if (!stale.empty()) {

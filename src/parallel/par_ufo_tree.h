@@ -64,7 +64,8 @@ namespace ufo::par {
 
 class UfoTree : public core::UfoCore {
  public:
-  explicit UfoTree(size_t n);
+  // Aggregate tier as in seq::UfoTree; kAll by default.
+  explicit UfoTree(size_t n, core::Aggregates a = core::Aggregates::kAll);
 
   // Single updates are batches of one; with path-granular teardown they
   // cost O(height), same asymptotics as seq::UfoTree.

@@ -283,6 +283,8 @@ void ForestSerializer::append(SnapshotWriter& w, const core::UfoCore& t) {
 
   // Maintained aggregates of internal clusters (leaves are refreshed from
   // kVerts on load; derived rake/index state is rebuilt, not serialized).
+  // A size-only forest writes none: its sizes are rebuilt on load.
+  if (t.agg_ == core::Aggregates::kSize) return;
   ByteBuf cold;
   uint32_t internal = 0;
   for (uint32_t id = static_cast<uint32_t>(t.n_) + 1; id < ps; ++id)
@@ -300,7 +302,7 @@ void ForestSerializer::append(SnapshotWriter& w, const core::UfoCore& t) {
     for (int i = 0; i < 2; ++i) cold.put_i64(d.max_dist[i]);
     for (int i = 0; i < 2; ++i) cold.put_i64(d.sum_dist[i]);
     for (int i = 0; i < 2; ++i) cold.put_i64(d.marked_dist[i]);
-    cold.put_u32(d.n_verts);
+    cold.put_u32(t.sizes_[id].n_verts);
     cold.put_u32(d.marked_count);
     for (int i = 0; i < 2; ++i) cold.put_u32(d.bv[i]);
   }
@@ -377,7 +379,8 @@ RecoveryError ForestSerializer::restore(const SnapshotReader& r,
     // --- Topology: pass 1 decodes scalar fields + adjacency in place,
     // stashing children lists and dumped parents for pass 2.
     t.hot_.assign(ps, UfoCore::Hot{});
-    t.cold_.assign(ps, UfoCore::Cold{});
+    t.sizes_.assign(ps, UfoCore::SizeRec{});
+    if (t.agg_ == core::Aggregates::kAll) t.cold_.assign(ps, UfoCore::Cold{});
     std::vector<uint32_t> parent_dump(ps, 0);
     std::vector<std::vector<uint32_t>> kids(ps);
     Cursor tc(topo->data, topo->len);
@@ -471,84 +474,76 @@ RecoveryError ForestSerializer::restore(const SnapshotReader& r,
       return t.hot_[a].level < t.hot_[b].level;
     });
 
-    bool cold_ok = cold && !cold->corrupt;
-    if (cold_ok) {
-      Cursor cc(cold->data, cold->len);
-      uint32_t count = cc.get_u32();
-      if (count != internal.size()) {
-        cold_ok = false;
-        note("cold record count mismatch");
-      }
-      std::vector<uint8_t> seen(ps, 0);
-      for (uint32_t i = 0; cold_ok && i < count; ++i) {
-        if (!cc.can_read(108)) {
-          cold_ok = false;
-          note("cold section too short");
-          break;
-        }
-        uint32_t id = cc.get_u32();
-        if (id <= n || id >= ps || !t.alive(id) || seen[id]) {
-          cold_ok = false;
-          note("cold record id invalid");
-          break;
-        }
-        seen[id] = 1;
-        UfoCore::Cold& d = t.cold_[id];
-        d.sub_sum = cc.get_i64();
-        d.path_sum = cc.get_i64();
-        d.path_max = cc.get_i64();
-        d.path_len = cc.get_i64();
-        d.diam = cc.get_i64();
-        for (int k = 0; k < 2; ++k) d.max_dist[k] = cc.get_i64();
-        for (int k = 0; k < 2; ++k) d.sum_dist[k] = cc.get_i64();
-        for (int k = 0; k < 2; ++k) d.marked_dist[k] = cc.get_i64();
-        d.n_verts = cc.get_u32();
-        d.marked_count = cc.get_u32();
-        for (int k = 0; k < 2; ++k) d.bv[k] = cc.get_u32();
-      }
-    } else if (cold && cold->corrupt) {
-      note("cold section corrupt");
-    } else if (!cold) {
-      note("cold section missing");
-    }
-
-    if (!cold_ok && !opts.allow_degraded)
-      return fail(RecoveryError::kCorruptSection,
-                  "aggregates damaged and degrade disallowed");
-
-    if (!cold_ok) {
-      // Degrade path: the topology is intact, so every aggregate is
-      // recomputable bottom-up. This also rebuilds the rake indexes.
+    if (t.agg_ == core::Aggregates::kSize) {
+      // A size-only forest ignores kCold (a kAll snapshot carries far more
+      // than it keeps) and rebuilds its sizes bottom-up, which is no
+      // degrade: there is nothing it could have read instead.
       for (uint32_t id : internal) t.recompute_aggregates(id);
-      st.degraded = true;
-      note("aggregates rebuilt from topology");
-      UFO_STAT("recovery.load.degraded", 1);
-    } else if (opts.verify) {
-      // Deep verify: recompute from the leaves and compare with the dumped
-      // values; drift means the snapshot lied (checksum-valid but wrong).
-      for (uint32_t id : internal) {
-        UfoCore::Cold saved = t.cold_[id];
-        t.recompute_aggregates(id);
-        const UfoCore::Cold& c = t.cold_[id];
-        bool same =
-            saved.n_verts == c.n_verts && saved.sub_sum == c.sub_sum &&
-            saved.path_sum == c.path_sum && saved.path_max == c.path_max &&
-            saved.path_len == c.path_len && saved.diam == c.diam &&
-            saved.bv[0] == c.bv[0] && saved.bv[1] == c.bv[1] &&
-            saved.max_dist[0] == c.max_dist[0] &&
-            saved.max_dist[1] == c.max_dist[1] &&
-            saved.sum_dist[0] == c.sum_dist[0] &&
-            saved.sum_dist[1] == c.sum_dist[1] &&
-            saved.marked_dist[0] == c.marked_dist[0] &&
-            saved.marked_dist[1] == c.marked_dist[1] &&
-            saved.marked_count == c.marked_count;
-        if (!same) {
-          if (!opts.allow_degraded)
-            return fail(RecoveryError::kInconsistent,
-                        "dumped aggregates drift from recomputation");
-          st.degraded = true;
-          note("aggregate drift repaired by recomputation");
-          UFO_STAT("recovery.load.degraded", 1);
+    } else {
+      bool cold_ok = cold && !cold->corrupt;
+      if (cold_ok) {
+        Cursor cc(cold->data, cold->len);
+        uint32_t count = cc.get_u32();
+        if (count != internal.size()) {
+          cold_ok = false;
+          note("cold record count mismatch");
+        }
+        std::vector<uint8_t> seen(ps, 0);
+        for (uint32_t i = 0; cold_ok && i < count; ++i) {
+          if (!cc.can_read(108)) {
+            cold_ok = false;
+            note("cold section too short");
+            break;
+          }
+          uint32_t id = cc.get_u32();
+          if (id <= n || id >= ps || !t.alive(id) || seen[id]) {
+            cold_ok = false;
+            note("cold record id invalid");
+            break;
+          }
+          seen[id] = 1;
+          UfoCore::Cold& d = t.cold_[id];
+          d.sub_sum = cc.get_i64();
+          d.path_sum = cc.get_i64();
+          d.path_max = cc.get_i64();
+          d.path_len = cc.get_i64();
+          d.diam = cc.get_i64();
+          for (int k = 0; k < 2; ++k) d.max_dist[k] = cc.get_i64();
+          for (int k = 0; k < 2; ++k) d.sum_dist[k] = cc.get_i64();
+          for (int k = 0; k < 2; ++k) d.marked_dist[k] = cc.get_i64();
+          t.sizes_[id].n_verts = cc.get_u32();
+          d.marked_count = cc.get_u32();
+          for (int k = 0; k < 2; ++k) d.bv[k] = cc.get_u32();
+        }
+      } else if (cold && cold->corrupt) {
+        note("cold section corrupt");
+      } else if (!cold) {
+        note("cold section missing");
+      }
+
+      if (!cold_ok && !opts.allow_degraded)
+        return fail(RecoveryError::kCorruptSection,
+                    "aggregates damaged and degrade disallowed");
+
+      if (!cold_ok) {
+        // Degrade path: the topology is intact, so every aggregate is
+        // recomputable bottom-up. This also rebuilds the rake indexes.
+        for (uint32_t id : internal) t.recompute_aggregates(id);
+        st.degraded = true;
+        note("aggregates rebuilt from topology");
+        UFO_STAT("recovery.load.degraded", 1);
+      } else if (opts.verify) {
+        // Deep verify: recompute from the leaves and compare with the dumped
+        // values; drift means the snapshot lied (checksum-valid but wrong).
+        for (uint32_t id : internal) {
+          if (!t.recompute_matches(id, /*report=*/false)) {
+            if (!opts.allow_degraded)
+              return fail(RecoveryError::kInconsistent,
+                          "dumped aggregates drift from recomputation");
+            st.degraded = true;
+            note("aggregate drift repaired by recomputation");
+            UFO_STAT("recovery.load.degraded", 1);
+          }
         }
       }
     }

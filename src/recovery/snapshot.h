@@ -18,8 +18,9 @@
 // Forest sections: kForestMeta (n, pool size, live count), kVerts (vertex
 // weights + marks), kTopo (per-cluster level/parent/center/merge edge +
 // adjacency and children lists), kCold (maintained aggregates of internal
-// clusters). A connectivity checkpoint appends kConnMeta/kTreeEdges/
-// kNontreeEdges/kWeights to the same file.
+// clusters; written by Aggregates::kAll forests only). A connectivity
+// checkpoint appends kConnMeta/kTreeEdges/kNontreeEdges/kWeights to the
+// same file.
 //
 // Durability: save() writes `path + ".tmp"`, fsyncs it, atomically renames
 // over `path`, then fsyncs the parent directory — a crash at any point
@@ -30,9 +31,10 @@
 // typed RecoveryErrors. With LoadOptions::verify the loaded hierarchy is
 // re-audited (UfoCore::validate()) and its aggregates recomputed from the
 // leaves and compared against the dumped values. With allow_degraded, a
-// damaged kCold section (or aggregate drift) degrades to a bottom-up
-// rebuild from topology instead of failing; kTopo/kVerts damage is fatal
-// (there is nothing to rebuild them from).
+// damaged or missing kCold section (or aggregate drift) degrades a kAll
+// target to a bottom-up rebuild from topology instead of failing; a kSize
+// target ignores kCold and always rebuilds its sizes, without degrading.
+// kTopo/kVerts damage is fatal (there is nothing to rebuild them from).
 //
 // Load targets must be freshly constructed with the snapshot's n (the slab
 // pools cannot be reset in place); peek() reports n so callers can size

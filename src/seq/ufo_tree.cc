@@ -23,7 +23,9 @@ bool trace_enabled() { return std::getenv("UFO_TRACE") != nullptr; }
   } while (0)
 }
 
-UfoTree::UfoTree(size_t n) : core::UfoCore(n) { roots_.resize(1); }
+UfoTree::UfoTree(size_t n, core::Aggregates a) : core::UfoCore(n, a) {
+  roots_.resize(1);
+}
 
 void UfoTree::add_root(uint32_t c) {
   UFO_TRACE("  add_root %u (lvl %d)\n", c, hot_[c].level);
@@ -67,7 +69,7 @@ void UfoTree::delete_ancestors(uint32_t c) {
       }
       if (next != 0) {
         if (hot_[next].center_child != 0 && hot_[next].center_child != cur &&
-            cold_[next].rake_index_valid)
+            sizes_[next].rake_index_valid)
           rake_index_remove(next, cur);
         remove_child(next, cur);
         // If next survives the walk its contents shrank; refresh later.
@@ -82,7 +84,7 @@ void UfoTree::delete_ancestors(uint32_t c) {
       // Disconnect the low-degree child from its surviving parent; the
       // parent's contents shrink, so its chain needs aggregate refreshes.
       if (hot_[cur].center_child != 0 && hot_[cur].center_child != prev &&
-          cold_[cur].rake_index_valid)
+          sizes_[cur].rake_index_valid)
         rake_index_remove(cur, prev);
       remove_child(cur, prev);
       hot_[prev].parent = 0;
@@ -376,7 +378,7 @@ void UfoTree::recluster() {
             assert(hot_[py].parent == 0);
             add_child(py, x);
             hot_[py].center_child = 0;  // becomes a plain pair merge
-            cold_[py].rake_index_valid = false;
+            sizes_[py].rake_index_valid = false;
             hot_[py].merge_u = a.other_end;  // inside y = children[0]
             hot_[py].merge_v = a.my_end;
             hot_[py].merge_w = a.w;
@@ -406,7 +408,7 @@ void UfoTree::recluster() {
                     y, dy);
           delete_ancestors(py);
           add_child(py, x);
-          cold_[py].rake_index_valid = false;  // merge shape changed
+          sizes_[py].rake_index_valid = false;  // merge shape changed
           if (dy >= 3) {
             hot_[py].center_child = y;  // becomes a high-degree merge
           } else {
@@ -430,7 +432,7 @@ void UfoTree::recluster() {
           assert(hot_[py].center_child == y);
           delete_ancestors(py);  // may or may not detach py
           add_child(py, x);
-          if (cold_[py].rake_index_valid) rake_index_add(py, x);
+          if (sizes_[py].rake_index_valid) rake_index_add(py, x);
           UFO_TRACE("  rake-attach %u onto %s py=%u\n", x,
                     hot_[py].parent == 0 ? "rooted" : "attached", py);
           if (hot_[py].parent == 0) {

@@ -31,7 +31,9 @@ namespace ufo::seq {
 
 class UfoTree : public core::UfoCore {
  public:
-  explicit UfoTree(size_t n);
+  // kAll (the default) maintains every aggregate the query suite reads;
+  // kSize keeps component sizes only (see core::Aggregates).
+  explicit UfoTree(size_t n, core::Aggregates a = core::Aggregates::kAll);
 
   // --- Updates (any degree allowed) ----------------------------------------
   void link(Vertex u, Vertex v, Weight w = 1);

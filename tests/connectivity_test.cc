@@ -130,7 +130,7 @@ TEST(GraphConnectivity, EraseReturnsFalseForAbsentEdges) {
 }
 
 TEST(GraphConnectivity, WeightsSurvivePromotion) {
-  UfoConn g(3);
+  UfoConn g(3, core::Aggregates::kAll);  // path_sum needs the full tier
   g.insert(0, 1, 5);
   g.insert(1, 2, 7);
   g.insert(2, 0, 11);  // non-tree, weight 11
@@ -297,6 +297,25 @@ TEST(GraphConnectivity, HasEdgeOutOfRangeIsFalse) {
   EXPECT_FALSE(g.has_edge(kNoVertex, 3));
 }
 
+// Out-of-range vertices are isolated: no vertex id >= n is connected to
+// anything, itself included, and its component is empty. Leaf ids past n
+// name internal clusters, so the forest alone would answer for them.
+TEST(GraphConnectivity, OutOfRangeVertexIsIsolated) {
+  constexpr size_t n = 8;
+  UfoConn g(n);
+  g.batch_insert(gen::path(n));
+  ASSERT_TRUE(g.connected(0, n - 1));
+  for (Vertex v = n; v < 14; ++v) {
+    EXPECT_FALSE(g.connected(v, 0)) << v;
+    EXPECT_FALSE(g.connected(0, v)) << v;
+    EXPECT_EQ(g.component_size(v), 0u) << v;
+  }
+  EXPECT_FALSE(g.connected(20, 20));
+  EXPECT_FALSE(g.connected(kNoVertex, kNoVertex));
+  EXPECT_EQ(g.component_size(kNoVertex), 0u);
+  EXPECT_EQ(g.component_size(3), n);
+}
+
 template <class Backend>
 class Connectivity : public ::testing::Test {};
 using Backends = ::testing::Types<seq::UfoTree, par::UfoTree>;
@@ -318,6 +337,101 @@ TYPED_TEST(Connectivity, LayerBytesPerVertex) {
             400u);
   EXPECT_LE(layer_bytes_per_vertex(kSocial, gen::social_graph(kSocial, 4, 11)),
             512u);
+}
+
+// The spanning forest's own footprint per vertex after one bulk insert.
+// The default size-only forest holds a hot record and a 16-byte size
+// record per cluster plus adjacency and children slabs; it carries no cold
+// records or rake indexes.
+TYPED_TEST(Connectivity, ForestBytesPerVertex) {
+  auto forest_bytes_per_vertex = [](size_t n, const EdgeList& edges) {
+    GraphConnectivity<TypeParam> g(n);
+    g.batch_insert(edges);
+    EXPECT_EQ(g.num_edges(), edges.size());
+    return g.forest().memory_bytes() / n;
+  };
+  constexpr size_t kSide = 64, kSocial = size_t{1} << 14;
+  EXPECT_LE(
+      forest_bytes_per_vertex(kSide * kSide, gen::grid_graph(kSide, kSide)),
+      850u);
+  EXPECT_LE(
+      forest_bytes_per_vertex(kSocial, gen::social_graph(kSocial, 4, 11)),
+      450u);
+}
+
+// The two aggregate tiers run in lockstep through a churn of batch and
+// single-edge updates and vertex annotations: components, connectivity and
+// component sizes agree, and both forests pass the structural and
+// aggregate audits throughout.
+TYPED_TEST(Connectivity, AggregateTiersAgreeUnderChurn) {
+  constexpr size_t n = 600;
+  GraphConnectivity<TypeParam> small(n);
+  GraphConnectivity<TypeParam> full(n, core::Aggregates::kAll);
+  // check_aggregates recomputes in place; on a sound forest that rewrites
+  // identical values.
+  auto audit = [](const GraphConnectivity<TypeParam>& g) {
+    EXPECT_TRUE(g.check_valid());
+    EXPECT_TRUE(g.forest().check_valid());
+    EXPECT_TRUE(const_cast<TypeParam&>(g.forest()).check_aggregates());
+  };
+  auto agree = [&](util::SplitMix64& rng) {
+    ASSERT_EQ(small.num_components(), full.num_components());
+    ASSERT_EQ(small.num_edges(), full.num_edges());
+    for (int i = 0; i < 200; ++i) {
+      Vertex a = static_cast<Vertex>(rng.next(n));
+      Vertex b = static_cast<Vertex>(rng.next(n));
+      ASSERT_EQ(small.connected(a, b), full.connected(a, b)) << a << "-" << b;
+      ASSERT_EQ(small.component_size(a), full.component_size(a)) << a;
+    }
+  };
+  util::SplitMix64 rng(0x71E25);
+  EdgeList pool = gen::social_graph(n, 3, 19);
+  EdgeList star = gen::star(n);  // builds and shatters superunary clusters
+  pool.insert(pool.end(), star.begin(), star.begin() + n / 3);
+  for (int round = 0; round < 8; ++round) {
+    EdgeList ins, del;
+    for (const Edge& e : pool) {
+      uint64_t r = rng.next(4);
+      if (r == 0) ins.push_back(e);
+      if (r == 1) del.push_back(e);
+    }
+    small.batch_insert(ins);
+    full.batch_insert(ins);
+    agree(rng);
+    small.batch_erase(del);
+    full.batch_erase(del);
+    agree(rng);
+    for (int i = 0; i < 20; ++i) {
+      const Edge& e = pool[rng.next(pool.size())];
+      Vertex v = static_cast<Vertex>(rng.next(n));
+      if (rng.next(2)) {
+        small.insert(e.u, e.v);
+        full.insert(e.u, e.v);
+      } else {
+        small.erase(e.u, e.v);
+        full.erase(e.u, e.v);
+      }
+      small.set_vertex_weight(v, static_cast<Weight>(i));
+      full.set_vertex_weight(v, static_cast<Weight>(i));
+      small.set_mark(v, i % 2 == 0);
+      full.set_mark(v, i % 2 == 0);
+    }
+    agree(rng);
+    audit(small);
+    audit(full);
+  }
+}
+
+// Every query beyond connectivity and sizes fails loudly on a size-only
+// forest, in every build type, instead of reading records it never keeps.
+TYPED_TEST(Connectivity, PathQueryOnSizeOnlyForestAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  GraphConnectivity<TypeParam> g(4);
+  g.insert(0, 1, 5);
+  g.insert(1, 2, 7);
+  EXPECT_EQ(g.component_size(0), 3u);
+  EXPECT_DEATH(g.forest().path_sum(0, 2), "path_sum needs .*Aggregates::kAll");
+  EXPECT_DEATH(g.forest().component_diameter(0), "Aggregates::kAll");
 }
 
 TEST(UnionFindTest, BasicStagingBehavior) {

@@ -224,6 +224,96 @@ TEST(SnapshotRoundTrip, CrossBackend) {
   std::remove(path.c_str());
 }
 
+// Aggregate tiers share the format, typed over both backends. A size-only
+// forest writes no kCold section; it round-trips into another size-only
+// forest without degrading, and a full-tier target takes the missing-kCold
+// degrade path, rebuilding every aggregate from topology and the saved
+// vertex weights and marks. A full snapshot loads into a size-only forest,
+// which ignores kCold and rebuilds its sizes.
+template <class Tree>
+class SnapshotTiers : public ::testing::Test {};
+using TierBackends = ::testing::Types<seq::UfoTree, par::UfoTree>;
+TYPED_TEST_SUITE(SnapshotTiers, TierBackends);
+
+template <class TreeA, class TreeB>
+void expect_equal_sizes(const TreeA& a, const TreeB& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (Vertex v = 0; v < a.size(); ++v)
+    ASSERT_EQ(a.component_size(v), b.component_size(v)) << v;
+  util::SplitMix64 rng(0x512E);
+  for (int i = 0; i < 300; ++i) {
+    Vertex u = static_cast<Vertex>(rng.next(a.size()));
+    Vertex v = static_cast<Vertex>(rng.next(a.size()));
+    ASSERT_EQ(a.connected(u, v), b.connected(u, v)) << u << " " << v;
+  }
+}
+
+TYPED_TEST(SnapshotTiers, SizeOnlyRoundTripsWithoutDegrading) {
+  const std::string path = tmp_path("tier_size.snap");
+  size_t n = 500;
+  TypeParam t(n, core::Aggregates::kSize);
+  churn(&t, gen::pref_attach(n, 31), 31);
+  ASSERT_EQ(ForestSerializer::save(t, path), RecoveryError::kNone);
+  SectionLoc cold;
+  EXPECT_FALSE(find_section(read_file(path), recovery::kSecCold, &cold));
+
+  TypeParam fresh(n, core::Aggregates::kSize);
+  LoadStats st;
+  ASSERT_EQ(ForestSerializer::load(fresh, path, LoadOptions{}, &st),
+            RecoveryError::kNone);
+  EXPECT_FALSE(st.degraded);
+  ASSERT_TRUE(fresh.check_valid());
+  ASSERT_TRUE(fresh.check_aggregates());
+  expect_equal_sizes(t, fresh);
+  std::remove(path.c_str());
+}
+
+TYPED_TEST(SnapshotTiers, SizeOnlyIntoFullForestDegrades) {
+  const std::string path = tmp_path("tier_up.snap");
+  size_t n = 500;
+  EdgeList edges = gen::random_degree3(n, 32);
+  TypeParam t(n, core::Aggregates::kSize);
+  churn(&t, edges, 32);
+  ASSERT_EQ(ForestSerializer::save(t, path), RecoveryError::kNone);
+
+  TypeParam strict(n);
+  EXPECT_EQ(ForestSerializer::load(strict, path,
+                                   {.verify = true, .allow_degraded = false}),
+            RecoveryError::kCorruptSection);
+
+  TypeParam full(n);
+  LoadStats st;
+  ASSERT_EQ(ForestSerializer::load(full, path, LoadOptions{}, &st),
+            RecoveryError::kNone);
+  EXPECT_TRUE(st.degraded);
+  ASSERT_TRUE(full.check_valid());
+  ASSERT_TRUE(full.check_aggregates());
+  // The rebuilt forest answers every query like one that kept every
+  // aggregate all along.
+  TypeParam reference(n);
+  EdgeList live = churn(&reference, edges, 32);
+  expect_equal_queries(reference, full, 0x71E2, live);
+  std::remove(path.c_str());
+}
+
+TYPED_TEST(SnapshotTiers, FullSnapshotLoadsIntoSizeOnlyForest) {
+  const std::string path = tmp_path("tier_down.snap");
+  size_t n = 500;
+  TypeParam t(n);
+  churn(&t, gen::star(n), 33);
+  ASSERT_EQ(ForestSerializer::save(t, path), RecoveryError::kNone);
+
+  TypeParam fresh(n, core::Aggregates::kSize);
+  LoadStats st;
+  ASSERT_EQ(ForestSerializer::load(fresh, path, LoadOptions{}, &st),
+            RecoveryError::kNone);
+  EXPECT_FALSE(st.degraded);
+  ASSERT_TRUE(fresh.check_valid());
+  ASSERT_TRUE(fresh.check_aggregates());
+  expect_equal_sizes(t, fresh);
+  std::remove(path.c_str());
+}
+
 // A loaded tree is a first-class tree: further batch updates must work and
 // keep matching an original that receives the same updates (this exercises
 // the lazily rebuilt derived state — rake indexes, adjacency hash indexes,
