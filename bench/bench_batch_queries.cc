@@ -1,11 +1,15 @@
 // Batch query throughput: read-only queries fanned across the fork-join
 // pool vs issued one at a time. Reproduces the paper's Section 6.1
 // observation that contraction-tree queries (pure reads) parallelize
-// trivially, unlike self-adjusting structures that mutate on read. On a
-// single-core host the batched and scalar rates coincide — the comparison
-// shows the dispatch overhead is negligible; on a multicore it shows the
-// scaling headroom.
+// trivially, unlike self-adjusting structures that mutate on read. Batched
+// path queries run one per task, so on a single core their batched and
+// scalar rates coincide. Batched connectivity on a UFO tree also climbs
+// each block's endpoints in lockstep (UfoCore::tree_roots), so on deep
+// trees it beats the scalar loop even on one core: the connectivity table
+// covers a low-diameter Zipf tree, a star, a BFS spanning tree of a grid
+// and a path. Exits 1 if any batched answer differs from the scalar one.
 #include <array>
+#include <cmath>
 #include <utility>
 
 #include "bench/common.h"
@@ -37,40 +41,44 @@ std::vector<core::VertexPair> make_queries(size_t n, size_t nq,
 }
 
 template <class Tree>
-void run(const char* name, Tree& t, size_t n, size_t nq, uint64_t seed) {
+bool run(const char* name, Tree& t, size_t n, size_t nq, uint64_t seed) {
   std::vector<core::VertexPair> q = make_queries(n, nq, seed);
 
   util::Timer t1;
-  long long sink = 0;
-  for (const auto& [u, v] : q) sink += t.path_sum(u, v);
+  std::vector<Weight> want;
+  want.reserve(nq);
+  for (const auto& [u, v] : q) want.push_back(t.path_sum(u, v));
   double scalar = t1.elapsed();
 
   util::Timer t2;
-  std::vector<Weight> out = core::batch_path_sum(t, q);
+  std::vector<Weight> got = core::batch_path_sum(t, q);
   double batched = t2.elapsed();
-  for (Weight w : out) sink -= w;
 
+  const bool ok = got == want;
   std::printf("%-26s %12.0f %12.0f %12s\n", name, nq / scalar, nq / batched,
-              sink == 0 ? "ok" : "MISMATCH");
+              ok ? "ok" : "MISMATCH");
+  return ok;
 }
 
 template <class Tree>
-void run_connectivity(const char* name, Tree& t, size_t n, size_t nq,
+bool run_connectivity(const char* name, Tree& t, size_t n, size_t nq,
                       uint64_t seed) {
   std::vector<core::VertexPair> q = make_queries(n, nq, seed);
 
   util::Timer t1;
-  long long sink = 0;
-  for (const auto& [u, v] : q) sink += t.connected(u, v) ? 1 : 0;
+  std::vector<uint8_t> want;
+  want.reserve(nq);
+  for (const auto& [u, v] : q) want.push_back(t.connected(u, v) ? 1 : 0);
   double scalar = t1.elapsed();
 
   util::Timer t2;
-  std::vector<uint8_t> out = core::batch_connected(t, q);
+  std::vector<uint8_t> got = core::batch_connected(t, q);
   double batched = t2.elapsed();
-  for (uint8_t b : out) sink -= b;
 
-  std::printf("%-26s %12.0f %12.0f %12s\n", name, nq / scalar, nq / batched,
-              sink == 0 ? "ok" : "MISMATCH");
+  const bool ok = got == want;
+  std::printf("%-26s %8zu %12.0f %12.0f %12s\n", name, t.height(0),
+              nq / scalar, nq / batched, ok ? "ok" : "MISMATCH");
+  return ok;
 }
 
 }  // namespace
@@ -79,6 +87,7 @@ int main(int argc, char** argv) {
   Options opt = parse(argc, argv);
   size_t n = opt.n ? opt.n : (opt.quick ? 20000 : 200000);
   size_t nq = opt.quick ? 50000 : 200000;
+  bool ok = true;
   std::printf("[batch-queries] path_sum throughput, n=%zu, %zu queries, "
               "%d workers\n", n, nq, par::num_workers());
   std::printf("%-26s %12s %12s %12s\n", "structure", "scalar q/s",
@@ -90,27 +99,48 @@ int main(int argc, char** argv) {
 
   seq::UfoTree ufo(n);
   for (const Edge& e : edges) ufo.link(e.u, e.v, e.w);
-  run("UFO Tree (seq)", ufo, n, nq, 9);
+  ok &= run("UFO Tree (seq)", ufo, n, nq, 9);
 
   // The parallel backend shares the query suite through core::UfoCore, so
   // the same read-only fan-out applies — this is the "par" column: batched
   // throughput here scales with the pool width on multicore hosts.
   par::UfoTree pufo(n);
   pufo.batch_link(edges);
-  run("UFO Tree (par)", pufo, n, nq, 9);
+  ok &= run("UFO Tree (par)", pufo, n, nq, 9);
 
   // Query the ternarized structure's inner tree directly: original vertex
   // ids occupy slots 0..n-1 and chain edges weigh 0, so path sums between
   // originals are unchanged.
   seq::Ternarizer<seq::TopologyTree> topo(n);
   for (const Edge& e : edges) topo.link(e.u, e.v, e.w);
-  run("Topology Tree (tern.)", topo.inner(), n, nq, 9);
+  ok &= run("Topology Tree (tern.)", topo.inner(), n, nq, 9);
 
   std::printf("\n[batch-queries] connectivity throughput, n=%zu, %zu "
               "queries\n", n, nq);
-  std::printf("%-26s %12s %12s %12s\n", "structure", "scalar q/s",
-              "batched q/s", "check");
-  run_connectivity("UFO Tree (seq)", ufo, n, nq, 17);
-  run_connectivity("UFO Tree (par)", pufo, n, nq, 17);
-  return 0;
+  std::printf("%-26s %8s %12s %12s %12s\n", "structure", "depth(0)",
+              "scalar q/s", "batched q/s", "check");
+  ok &= run_connectivity("UFO Tree (seq) zipf", ufo, n, nq, 17);
+  ok &= run_connectivity("UFO Tree (par) zipf", pufo, n, nq, 17);
+
+  // A star (depth 1, where the scalar loop already overlaps its misses)
+  // and two high-diameter inputs, where the lockstep climb's gain grows
+  // with height.
+  const size_t side = static_cast<size_t>(std::sqrt(static_cast<double>(n)));
+  const size_t grid_n = side * side;
+  struct Input {
+    const char* name;
+    size_t n;
+    EdgeList edges;
+  };
+  for (const Input& in :
+       {Input{"UFO Tree (par) star", n, gen::star(n)},
+        Input{"UFO Tree (par) grid-bfs", grid_n,
+              gen::bfs_forest(grid_n, gen::grid_graph(side, side), 23)},
+        Input{"UFO Tree (par) path", n, gen::path(n)}}) {
+    par::UfoTree t(in.n);
+    t.batch_link(in.edges);
+    ok &= run_connectivity(in.name, t, in.n, nq, 29);
+  }
+  if (!ok) std::printf("MISMATCH: a batched answer differs from scalar\n");
+  return ok ? 0 : 1;
 }

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "connectivity/edge_store.h"
+#include "core/batch_queries.h"
 #include "core/capabilities.h"
 #include "core/invariants.h"
 #include "core/ufo_core.h"
@@ -536,15 +537,32 @@ class GraphConnectivity {
     return weight_.get(edge_key(u, v), Weight{1});
   }
 
+  // (component id, index) for vertex_at(0..n-1): the batched root climb,
+  // one block of vertices per task.
+  template <class VertexAt>
+  std::vector<std::pair<uint32_t, uint32_t>> keyed_components(
+      size_t n, VertexAt vertex_at) const {
+    constexpr size_t kBlock = 2 * core::kClimbBlock;
+    std::vector<std::pair<uint32_t, uint32_t>> keyed(n);
+    par::parallel_for(0, (n + kBlock - 1) / kBlock, [&](size_t b) {
+      const size_t lo = b * kBlock;
+      const size_t len = std::min(kBlock, n - lo);
+      Vertex vs[kBlock] = {};  // zeroed to quiet -Wmaybe-uninitialized
+      uint32_t roots[kBlock];
+      for (size_t j = 0; j < len; ++j) vs[j] = vertex_at(lo + j);
+      forest_.tree_roots(vs, len, roots);
+      for (size_t j = 0; j < len; ++j)
+        keyed[lo + j] = {roots[j], static_cast<uint32_t>(lo + j)};
+    }, 1);
+    return keyed;
+  }
+
   // Pre-unite staged endpoints that share a forest component: one
-  // component_id per endpoint (computed in parallel) and a group-by.
+  // component id per endpoint and a group-by.
   void seed_components(const std::vector<Vertex>& verts,
                        util::UnionFind* stage) {
-    std::vector<std::pair<uint64_t, Vertex>> keyed =
-        par::map(verts.size(), [&](size_t i) {
-          return std::make_pair(forest_.component_id(verts[i]),
-                                static_cast<Vertex>(i));
-        });
+    std::vector<std::pair<uint32_t, uint32_t>> keyed =
+        keyed_components(verts.size(), [&](size_t i) { return verts[i]; });
     for (auto range : par::group_by_key(keyed))
       for (size_t i = range.first + 1; i < range.second; ++i)
         stage->unite(keyed[range.first].second, keyed[i].second);
@@ -567,11 +585,8 @@ class GraphConnectivity {
     // union-find along the cut pairs groups them into the original
     // components, each of which exempts its largest piece (ties go to the
     // smaller piece index).
-    std::vector<std::pair<uint64_t, uint32_t>> keyed =
-        par::map(2 * cuts.size(), [&](size_t i) {
-          return std::make_pair(forest_.component_id(endpoint(i)),
-                                static_cast<uint32_t>(i));
-        });
+    std::vector<std::pair<uint32_t, uint32_t>> keyed =
+        keyed_components(2 * cuts.size(), endpoint);
     std::vector<std::pair<size_t, size_t>> groups = par::group_by_key(keyed);
     const size_t np = groups.size();
     std::vector<uint32_t> piece_of(keyed.size());

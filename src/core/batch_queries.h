@@ -4,6 +4,10 @@
 // "any number of queries can be run in parallel with no synchronization."
 // These helpers exploit exactly that: they fan a batch of independent
 // queries across the fork-join pool with one parallel_for and no locking.
+// batch_connected on a UfoCore-based tree goes one step further: each task
+// takes a block of pairs and climbs all their endpoints together through
+// UfoCore::tree_roots, so the cache misses of one task overlap too
+// (DESIGN.md, "Batched root climbs"). Path queries stay one per task.
 //
 // They require a backend whose queries are const (UFO trees, topology
 // trees, the oracle). Self-adjusting structures (link-cut trees, splay top
@@ -12,6 +16,7 @@
 // throughput beats link-cut trees.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <utility>
@@ -36,14 +41,37 @@ concept ConstQueryable =
 
 using VertexPair = std::pair<Vertex, Vertex>;
 
+// Pairs per parallel_for task in batch_connected's batched root climb.
+inline constexpr size_t kClimbBlock = 256;
+
 // answers[i] = t.connected(q[i].first, q[i].second)
 template <ConstQueryable Tree>
 std::vector<uint8_t> batch_connected(const Tree& t,
                                      const std::vector<VertexPair>& q) {
   std::vector<uint8_t> out(q.size());
-  par::parallel_for(0, q.size(), [&](size_t i) {
-    out[i] = t.connected(q[i].first, q[i].second) ? 1 : 0;
-  });
+  if constexpr (requires(const Vertex* vs, uint32_t* roots) {
+                  t.tree_roots(vs, q.size(), roots);
+                }) {
+    par::parallel_for(0, (q.size() + kClimbBlock - 1) / kClimbBlock,
+                      [&](size_t b) {
+      const size_t lo = b * kClimbBlock;
+      const size_t len = std::min(kClimbBlock, q.size() - lo);
+      Vertex vs[2 * kClimbBlock] = {};  // zeroed to quiet -Wmaybe-uninitialized
+      uint32_t roots[2 * kClimbBlock];
+      for (size_t j = 0; j < len; ++j) {
+        vs[2 * j] = q[lo + j].first;
+        vs[2 * j + 1] = q[lo + j].second;
+      }
+      t.tree_roots(vs, 2 * len, roots);
+      uint8_t* o = out.data() + lo;
+      for (size_t j = 0; j < len; ++j)
+        o[j] = roots[2 * j] == roots[2 * j + 1] ? 1 : 0;
+    }, 1);
+  } else {
+    par::parallel_for(0, q.size(), [&](size_t i) {
+      out[i] = t.connected(q[i].first, q[i].second) ? 1 : 0;
+    });
+  }
   return out;
 }
 

@@ -359,6 +359,32 @@ uint32_t UfoCore::tree_root(Vertex v) const {
   return c;
 }
 
+void UfoCore::tree_roots(const Vertex* vs, size_t n, uint32_t* out) const {
+  const Hot* hot = hot_.data();
+  for (size_t base = 0; base < n; base += kRootGroup) {
+    const size_t g = std::min(kRootGroup, n - base);
+    uint32_t* c = out + base;  // the group's chains climb in place
+    // A root's parent is 0, so a finished chain stays put; the group ends
+    // after the first sweep that moves no chain. The first sweep also
+    // reads the leaves.
+    uint32_t moved = 0;
+    for (size_t i = 0; i < g; ++i) {
+      const uint32_t leaf = leaf_id(vs[base + i]);
+      const uint32_t p = hot[leaf].parent;
+      moved |= p;
+      c[i] = p != 0 ? p : leaf;
+    }
+    while (moved != 0) {
+      moved = 0;
+      for (size_t i = 0; i < g; ++i) {
+        const uint32_t p = hot[c[i]].parent;
+        moved |= p;
+        c[i] = p != 0 ? p : c[i];
+      }
+    }
+  }
+}
+
 void UfoCore::add_child(uint32_t p, uint32_t c) {
   hot_[c].parent = p;
   hot_[c].pos_in_parent = hot_[p].children.size;

@@ -87,9 +87,17 @@ class UfoCore {
   bool connected(Vertex u, Vertex v) const;
   // Opaque identifier of v's component: equal for two vertices iff they are
   // connected. Only valid until the next update (the id is the component's
-  // current root cluster). Lets bulk callers (the connectivity subsystem's
-  // batch staging) canonicalize many endpoints without pairwise queries.
+  // current root cluster). Lets a caller canonicalize endpoints without
+  // pairwise queries; bulk callers use tree_roots.
   uint64_t component_id(Vertex v) const { return tree_root(v); }
+  // Batched root climb: out[i] = component_id(vs[i]) for i < n, in the same
+  // validity window. Climbs groups of kRootGroup chains in lockstep, one
+  // parent load per chain per sweep, so the loads of a sweep are
+  // independent and their cache misses overlap instead of queueing one
+  // level at a time (DESIGN.md, "Batched root climbs"). Reads only the hot
+  // records, so it works in both tiers.
+  static constexpr size_t kRootGroup = 64;
+  void tree_roots(const Vertex* vs, size_t n, uint32_t* out) const;
   // Number of vertices in v's component: the root cluster's n_verts, O(height).
   size_t component_size(Vertex v) const { return sizes_[tree_root(v)].n_verts; }
   Weight path_sum(Vertex u, Vertex v) const;

@@ -1,11 +1,16 @@
 // Tests for parallel batch queries: answers must equal the scalar query
 // results element-for-element on every input family, including when the
-// fork-join pool actually has worker threads.
+// fork-join pool actually has worker threads (CTest runs this suite at 1,
+// 2, 4 and the hardware's worker count). The BatchedRootClimb suite checks
+// the lockstep root climb (UfoCore::tree_roots and the batch_connected
+// path built on it) against scalar component_id/connected on every
+// UfoCore-based forest, across group and block boundaries.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <vector>
 
+#include "connectivity/connectivity.h"
 #include "core/batch_queries.h"
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
@@ -173,6 +178,115 @@ TEST(BatchQueries, InterleavedWithUpdates) {
     t.link(e.u, e.v, e.w);
     ref.link(e.u, e.v, e.w);
   }
+}
+
+// One forest of mixed heights: a path, a star, a random tree and isolated
+// vertices, so the chains of one group finish at different sweeps.
+constexpr size_t kMixedN = 1250;
+
+EdgeList mixed_forest() {
+  EdgeList edges = gen::path(400);  // vertices 0..399
+  for (Vertex v = 401; v < 600; ++v) edges.push_back({400, v, 1});
+  for (Edge e : gen::random_unbounded(600, 31)) {
+    e.u += 600;
+    e.v += 600;
+    edges.push_back(e);
+  }
+  return edges;  // 1200..1249 stay isolated
+}
+
+// The tree types under test, each behind the same build/cut/link surface.
+struct SeqUfo {
+  seq::UfoTree t{kMixedN};
+  explicit SeqUfo(const EdgeList& edges) {
+    for (const Edge& e : edges) t.link(e.u, e.v, e.w);
+  }
+  const seq::UfoTree& tree() const { return t; }
+  void cut(const EdgeList& edges) { t.batch_cut(edges); }
+  void link(const EdgeList& edges) { t.batch_link(edges); }
+};
+
+struct ParUfo {
+  par::UfoTree t{kMixedN};
+  explicit ParUfo(const EdgeList& edges) { t.batch_link(edges); }
+  const par::UfoTree& tree() const { return t; }
+  void cut(const EdgeList& edges) { t.batch_cut(edges); }
+  void link(const EdgeList& edges) { t.batch_link(edges); }
+};
+
+// GraphConnectivity's size-only spanning forest. The input is a forest, so
+// every inserted edge is a tree edge and erasing one cuts it.
+struct ConnForest {
+  conn::GraphConnectivity<par::UfoTree> g{kMixedN};
+  explicit ConnForest(const EdgeList& edges) {
+    EXPECT_EQ(g.batch_insert(edges), conn::BatchStatus::kOk);
+  }
+  const par::UfoTree& tree() const { return g.forest(); }
+  void cut(const EdgeList& edges) {
+    EXPECT_EQ(g.batch_erase(edges), conn::BatchStatus::kOk);
+  }
+  void link(const EdgeList& edges) {
+    EXPECT_EQ(g.batch_insert(edges), conn::BatchStatus::kOk);
+  }
+};
+
+template <class Tree>
+void expect_batched_matches_scalar(const Tree& t, uint64_t seed) {
+  constexpr size_t G = UfoCore::kRootGroup;
+  util::SplitMix64 rng(seed);
+  auto any = [&] { return static_cast<Vertex>(rng.next(kMixedN)); };
+  for (size_t len : {size_t{0}, size_t{1}, G - 1, G, G + 1, size_t{1000}}) {
+    std::vector<Vertex> vs(len);
+    for (Vertex& v : vs) v = any();
+    std::vector<uint32_t> roots(len);
+    t.tree_roots(vs.data(), len, roots.data());
+    for (size_t i = 0; i < len; ++i)
+      ASSERT_EQ(roots[i], t.component_id(vs[i])) << "len " << len << " i " << i;
+
+    // Pairs: u == v, a pair inside the path (connected), a path-to-star
+    // pair (disconnected), an isolated endpoint, and random pairs.
+    std::vector<VertexPair> q(len);
+    for (size_t i = 0; i < len; ++i) {
+      switch (i % 5) {
+        case 0: {
+          Vertex v = any();
+          q[i] = {v, v};
+          break;
+        }
+        case 1: q[i] = {static_cast<Vertex>(rng.next(400)), 399}; break;
+        case 2: q[i] = {static_cast<Vertex>(rng.next(400)), 400}; break;
+        case 3: q[i] = {1200 + static_cast<Vertex>(rng.next(50)), any()}; break;
+        default: q[i] = {any(), any()};
+      }
+    }
+    std::vector<uint8_t> got = batch_connected(t, q);
+    ASSERT_EQ(got.size(), len);
+    for (size_t i = 0; i < len; ++i)
+      ASSERT_EQ(got[i] != 0, t.connected(q[i].first, q[i].second))
+          << "len " << len << " pair " << i;
+  }
+}
+
+template <class T>
+class BatchedRootClimb : public ::testing::Test {};
+using RootClimbTrees = ::testing::Types<SeqUfo, ParUfo, ConnForest>;
+TYPED_TEST_SUITE(BatchedRootClimb, RootClimbTrees);
+
+TYPED_TEST(BatchedRootClimb, MatchesScalarAcrossUpdates) {
+  const EdgeList edges = mixed_forest();
+  TypeParam f(edges);
+  expect_batched_matches_scalar(f.tree(), 1);
+
+  // Cut every 7th edge (the path, star and random tree all lose some),
+  // check, then link them back and check again.
+  EdgeList cuts;
+  for (size_t i = 0; i < edges.size(); i += 7) cuts.push_back(edges[i]);
+  f.cut(cuts);
+  ASSERT_FALSE(f.tree().connected(0, 399));
+  expect_batched_matches_scalar(f.tree(), 2);
+  f.link(cuts);
+  ASSERT_TRUE(f.tree().connected(0, 399));
+  expect_batched_matches_scalar(f.tree(), 3);
 }
 
 TEST(BatchQueries, EmptyBatch) {
