@@ -10,7 +10,8 @@
 #include "bench/common.h"
 #include "core/sorted_bag.h"
 #include "graph/generators.h"
-#include "seq/rc_tree.h"
+#include "seq/ternarize.h"
+#include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 
@@ -57,12 +58,13 @@ int main(int argc, char** argv) {
 
   std::printf("\n[ablation b] star build+destroy: UFO high-degree merges vs "
               "ternarized contraction\n");
-  print_header("star", "n", {"UFO", "RC(tern)"});
+  print_header("star", "n", {"UFO", "Topology"});
   for (size_t n = 10000; n <= fanout; n *= 4) {
     EdgeList e = gen::star(n);
     std::printf("%-26zu", n);
     print_cell(build_destroy_seconds<seq::UfoTree>(n, e, 7));
-    print_cell(build_destroy_seconds<seq::RcTree>(n, e, 7));
+    print_cell(
+        build_destroy_seconds<seq::Ternarizer<seq::TopologyTree>>(n, e, 7));
     std::printf("\n");
     std::fflush(stdout);
   }

@@ -4,7 +4,6 @@
 #include "bench/common.h"
 #include "graph/generators.h"
 #include "seq/ett_skiplist.h"
-#include "seq/rc_tree.h"
 #include "seq/ternarize.h"
 #include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
@@ -18,7 +17,7 @@ int main(int argc, char** argv) {
   size_t k = opt.batch ? opt.batch : std::max<size_t>(1, n / 10);
   std::printf("[fig16] batch-update diameter sweep, n=%zu, k=%zu\n", n, k);
   print_header("zipf sweep", "alpha",
-               {"diam", "ETT-Skip", "UFO", "Topology", "RC"});
+               {"diam", "ETT-Skip", "UFO", "Topology"});
   for (double alpha : {0.0, 1.0, 2.0, 3.0, 4.0}) {
     EdgeList edges = gen::zipf_tree(n, alpha, 88);
     std::printf("%-26.2f %12zu", alpha, gen::forest_diameter(n, edges));
@@ -26,7 +25,6 @@ int main(int argc, char** argv) {
     print_cell(batch_build_destroy_seconds<seq::UfoTree>(n, edges, k, 6));
     print_cell(build_destroy_seconds<seq::Ternarizer<seq::TopologyTree>>(
         n, edges, 6));
-    print_cell(build_destroy_seconds<seq::RcTree>(n, edges, 6));
     std::printf("\n");
     std::fflush(stdout);
   }

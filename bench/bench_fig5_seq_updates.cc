@@ -7,8 +7,9 @@
 #include "seq/ett_splay.h"
 #include "seq/ett_treap.h"
 #include "seq/link_cut_tree.h"
-#include "seq/rc_tree.h"
 #include "seq/splay_top_tree.h"
+#include "seq/ternarize.h"
+#include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
 
 using namespace ufo;
@@ -27,7 +28,6 @@ void run_input(const gen::NamedInput& input) {
       build_destroy_seconds<seq::EttSkipList>(input.n, input.edges, 1));
   print_cell(build_destroy_seconds<seq::Ternarizer<seq::TopologyTree>>(
       input.n, input.edges, 1));
-  print_cell(build_destroy_seconds<seq::RcTree>(input.n, input.edges, 1));
   std::printf("\n");
   std::fflush(stdout);
 }
@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
               "(insert all + delete all, seconds)\n", n);
   print_header("synthetic trees", "input",
                {"LinkCut", "UFO", "SplayTop", "ETT-Treap", "ETT-Splay",
-                "ETT-Skip", "Topology", "RC"});
+                "ETT-Skip", "Topology"});
   for (const auto& input : gen::synthetic_suite(n, 12)) run_input(input);
 
   print_header("real-world stand-ins (BFS/RIS forests)", "input",
                {"LinkCut", "UFO", "SplayTop", "ETT-Treap", "ETT-Splay",
-                "ETT-Skip", "Topology", "RC"});
+                "ETT-Skip", "Topology"});
   for (const auto& input : gen::realworld_suite(n, 12)) run_input(input);
   return 0;
 }

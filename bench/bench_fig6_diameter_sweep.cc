@@ -7,8 +7,9 @@
 #include "graph/generators.h"
 #include "seq/ett_skiplist.h"
 #include "seq/link_cut_tree.h"
-#include "seq/rc_tree.h"
 #include "seq/splay_top_tree.h"
+#include "seq/ternarize.h"
+#include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
 
 using namespace ufo;
@@ -57,9 +58,8 @@ int main(int argc, char** argv) {
   std::printf("[fig6] diameter sweep on zipf(alpha) trees, n=%zu, q=%zu\n", n,
               q);
 
-  const std::vector<std::string> cols = {"diam",     "LinkCut", "UFO",
-                                         "SplayTop",  "ETT-Skip", "Topology",
-                                         "RC"};
+  const std::vector<std::string> cols = {"diam",     "LinkCut",  "UFO",
+                                         "SplayTop", "ETT-Skip", "Topology"};
   for (int part = 0; part < 3; ++part) {
     const char* titles[3] = {"(a) total update time",
                              "(b) connectivity queries",
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
         print_cell(build_destroy_seconds<seq::EttSkipList>(n, edges, 2));
         print_cell(build_destroy_seconds<seq::Ternarizer<seq::TopologyTree>>(
             n, edges, 2));
-        print_cell(build_destroy_seconds<seq::RcTree>(n, edges, 2));
       } else if (part == 1) {
         print_cell(conn_query_seconds<seq::LinkCutTree>(n, edges, q, 3));
         print_cell(conn_query_seconds<seq::UfoTree>(n, edges, q, 3));
@@ -83,7 +82,6 @@ int main(int argc, char** argv) {
         print_cell(conn_query_seconds<seq::EttSkipList>(n, edges, q, 3));
         print_cell(conn_query_seconds<seq::Ternarizer<seq::TopologyTree>>(
             n, edges, q, 3));
-        print_cell(conn_query_seconds<seq::RcTree>(n, edges, q, 3));
       } else {
         print_cell(path_query_seconds<seq::LinkCutTree>(n, edges, q, 3));
         print_cell(path_query_seconds<seq::UfoTree>(n, edges, q, 3));
@@ -91,7 +89,6 @@ int main(int argc, char** argv) {
         print_cell(-1);  // ETTs do not support path queries (Table 1)
         print_cell(path_query_seconds<seq::Ternarizer<seq::TopologyTree>>(
             n, edges, q, 3));
-        print_cell(path_query_seconds<seq::RcTree>(n, edges, q, 3));
       }
       std::printf("\n");
       std::fflush(stdout);

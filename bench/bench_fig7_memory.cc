@@ -9,8 +9,9 @@
 #include "seq/ett_splay.h"
 #include "seq/ett_treap.h"
 #include "seq/link_cut_tree.h"
-#include "seq/rc_tree.h"
 #include "seq/splay_top_tree.h"
+#include "seq/ternarize.h"
+#include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
 
 using namespace ufo;
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
   std::printf("[fig7] memory after full build, n=%zu (MiB)\n", n);
   print_header("synthetic trees", "input",
                {"LinkCut", "UFO", "UFO-size", "SplayTop", "ETT-Treap",
-                "ETT-Splay", "ETT-Skip", "Topology", "RC"});
+                "ETT-Splay", "ETT-Skip", "Topology"});
   for (const auto& input : gen::synthetic_suite(n, 12)) {
     std::printf("%-26s", input.name.c_str());
     print_cell(built_mbytes<seq::LinkCutTree>(input.n, input.edges));
@@ -46,7 +47,6 @@ int main(int argc, char** argv) {
     print_cell(built_mbytes<seq::EttSkipList>(input.n, input.edges));
     print_cell(built_mbytes<seq::Ternarizer<seq::TopologyTree>>(input.n,
                                                                 input.edges));
-    print_cell(built_mbytes<seq::RcTree>(input.n, input.edges));
     std::printf("\n");
     std::fflush(stdout);
   }

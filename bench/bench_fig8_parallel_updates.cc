@@ -15,7 +15,6 @@
 #include "parallel/par_ufo_tree.h"
 #include "parallel/scheduler.h"
 #include "seq/ett_skiplist.h"
-#include "seq/rc_tree.h"
 #include "seq/ternarize.h"
 #include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
@@ -45,7 +44,6 @@ void run_input(const gen::NamedInput& input, size_t k) {
       batch_build_destroy_seconds<par::UfoTree>(input.n, input.edges, k, 4));
   print_cell(tern_batch_seconds<seq::Ternarizer<seq::TopologyTree>>(
       input.n, input.edges, k, 4));
-  print_cell(tern_batch_seconds<seq::RcTree>(input.n, input.edges, k, 4));
   std::printf("\n");
   std::fflush(stdout);
 }
@@ -62,10 +60,10 @@ int main(int argc, char** argv) {
       "workers=%d (UFOTREE_NUM_THREADS=%s)\n",
       n, k, par::num_workers(), pin ? pin : "unset");
   print_header("synthetic trees", "input",
-               {"ETT-Skip", "UFO-seq", "UFO-par", "Topology", "RC"});
+               {"ETT-Skip", "UFO-seq", "UFO-par", "Topology"});
   for (const auto& input : gen::synthetic_suite(n, 12)) run_input(input, k);
   print_header("real-world stand-ins", "input",
-               {"ETT-Skip", "UFO-seq", "UFO-par", "Topology", "RC"});
+               {"ETT-Skip", "UFO-seq", "UFO-par", "Topology"});
   for (const auto& input : gen::realworld_suite(n, 12)) run_input(input, k);
   return 0;
 }

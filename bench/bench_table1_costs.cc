@@ -8,7 +8,8 @@
 #include "graph/generators.h"
 #include "seq/ett_skiplist.h"
 #include "seq/link_cut_tree.h"
-#include "seq/rc_tree.h"
+#include "seq/ternarize.h"
+#include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
 
 using namespace ufo;
@@ -44,27 +45,27 @@ int main(int argc, char** argv) {
 
   std::printf("\n[table1] ns/update on PATH inputs (D = n; all structures "
               "should grow ~log n)\n");
-  print_header("path", "n", {"LinkCut", "UFO", "ETT-Skip", "RC"});
+  print_header("path", "n", {"LinkCut", "UFO", "ETT-Skip", "Topology"});
   for (size_t n = 10000; n <= max_n; n *= 3) {
     EdgeList e = gen::path(n);
     std::printf("%-26zu", n);
     print_cell(ns_per_update<seq::LinkCutTree>(n, e));
     print_cell(ns_per_update<seq::UfoTree>(n, e));
     print_cell(ns_per_update<seq::EttSkipList>(n, e));
-    print_cell(ns_per_update<seq::RcTree>(n, e));
+    print_cell(ns_per_update<seq::Ternarizer<seq::TopologyTree>>(n, e));
     std::printf("   (ns/op)\n");
   }
 
   std::printf("\n[table1] ns/update on STAR inputs (D = 2; UFO and LinkCut "
               "should stay flat, others grow)\n");
-  print_header("star", "n", {"LinkCut", "UFO", "ETT-Skip", "RC"});
+  print_header("star", "n", {"LinkCut", "UFO", "ETT-Skip", "Topology"});
   for (size_t n = 10000; n <= max_n; n *= 3) {
     EdgeList e = gen::star(n);
     std::printf("%-26zu", n);
     print_cell(ns_per_update<seq::LinkCutTree>(n, e));
     print_cell(ns_per_update<seq::UfoTree>(n, e));
     print_cell(ns_per_update<seq::EttSkipList>(n, e));
-    print_cell(ns_per_update<seq::RcTree>(n, e));
+    print_cell(ns_per_update<seq::Ternarizer<seq::TopologyTree>>(n, e));
     std::printf("   (ns/op)\n");
   }
   return 0;

@@ -1,16 +1,21 @@
-// Quickstart: build a UFO tree, run updates and every query family.
+// Quickstart: build a UFO tree, run updates and every query family, then
+// checkpoint it and load the checkpoint into a fresh forest.
 //
 //   ./examples/quickstart
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
-#include "seq/ufo_tree.h"
+#include "parallel/par_ufo_tree.h"
+#include "recovery/snapshot.h"
 
 using namespace ufo;
 
 int main() {
   // A forest on 8 vertices. UFO trees accept any vertex degree directly —
-  // no ternarization step.
-  seq::UfoTree forest(8);
+  // no ternarization step. par::UfoTree is the recommended backend: single
+  // updates and queries as below, batches on the fork-join pool.
+  par::UfoTree forest(8);
 
   // Build a small weighted tree: hub 0 with children 1, 2, 3, and a
   // chain 2 - 4 - 5 - 6 hanging below child 2.
@@ -58,5 +63,32 @@ int main() {
   forest.batch_link({{1, 2, 1}, {2, 7, 1}});
   std::printf("after batch: connected(1, 7) = %s\n",
               forest.connected(1, 7) ? "yes" : "no");
+
+  // Persistence: a durable checkpoint, a header-only peek for the vertex
+  // count, and a verified load into a fresh forest of that size.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ufo_quickstart.snap")
+          .string();
+  recovery::RecoveryError err = recovery::ForestSerializer::save(forest, path);
+  recovery::SnapshotInfo info;
+  if (err == recovery::RecoveryError::kNone)
+    err = recovery::ForestSerializer::peek(path, &info);
+  if (err != recovery::RecoveryError::kNone) {
+    std::fprintf(stderr, "checkpoint failed: %s\n", recovery::to_string(err));
+    return 1;
+  }
+  par::UfoTree fresh(info.n);
+  recovery::LoadStats stats;
+  err = recovery::ForestSerializer::load(fresh, path, {}, &stats);
+  std::filesystem::remove(path);
+  if (err != recovery::RecoveryError::kNone) {
+    std::fprintf(stderr, "load failed: %s\n", recovery::to_string(err));
+    return 1;
+  }
+  std::printf("reloaded %llu vertices: connected(1, 7) = %s, "
+              "path_length(0, 6) = %lld hops\n",
+              static_cast<unsigned long long>(info.n),
+              fresh.connected(1, 7) ? "yes" : "no",
+              static_cast<long long>(fresh.path_length(0, 6)));
   return 0;
 }

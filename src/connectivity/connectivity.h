@@ -4,7 +4,7 @@
 // be disconnected and cut() removes a tree edge. Every motivating workload
 // (RIS edge streams, road closures, fleet tracking) is a general-graph
 // problem, so this subsystem layers the textbook spanning-forest scheme on
-// top of a UFO-tree backend (seq::UfoTree or par::UfoTree):
+// top of a UFO-tree backend (par::UfoTree by default, or seq::UfoTree):
 //
 //   * a spanning forest of the current graph, held in the Backend; its leaf
 //     adjacency is the only copy of the tree edges, and by default it
@@ -66,10 +66,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/hash_table.h"
+#include "parallel/par_ufo_tree.h"
 #include "parallel/primitives.h"
 #include "parallel/scheduler.h"
 #include "recovery/snapshot.h"
-#include "seq/ufo_tree.h"
 #include "util/union_find.h"
 
 namespace ufo::conn {
@@ -107,7 +107,7 @@ std::vector<Vertex> component_labels(const Graph& g) {
   return label;
 }
 
-template <core::BatchDynamic Backend = seq::UfoTree>
+template <core::BatchDynamic Backend = par::UfoTree>
   requires std::derived_from<Backend, core::UfoCore>
 class GraphConnectivity {
  public:
@@ -709,9 +709,6 @@ class GraphConnectivity {
   std::vector<Vertex> emitted_;
 };
 
-static_assert(core::GraphConnectivity<GraphConnectivity<seq::UfoTree>>);
-
-// The default backend is compiled once in connectivity.cc.
-extern template class GraphConnectivity<seq::UfoTree>;
+static_assert(core::GraphConnectivity<GraphConnectivity<>>);
 
 }  // namespace ufo::conn

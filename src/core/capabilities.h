@@ -2,7 +2,7 @@
 //
 // Table 1 of the paper classifies dynamic trees by the operations they
 // support. These concepts encode that taxonomy so generic code (the
-// DynamicForest facade, the typed test suites, the benchmark harness) can
+// connectivity layer, the typed test suites, the benchmark harness) can
 // dispatch on what a structure can do at compile time:
 //
 //   DynamicTree      link/cut/connectivity — every structure (Table 1 col 1)

@@ -1,27 +1,27 @@
 // Umbrella header: include this to get the whole library.
 //
-//   UfoForest        — UFO tree backend (the paper's contribution; default
-//                      choice: full query suite, batch-dynamic,
-//                      O(min{log n, D}) updates)
-//   TopologyForest   — topology-tree backend behind the dynamic ternarizer
-//                      (accepts arbitrary degree)
-//   LinkCutForest    — link-cut backend (fastest sequential updates;
-//                      connectivity + path queries only)
-//   SplayTopForest   — splay top tree backend (self-adjusting; path +
-//                      subtree queries)
-//   ParUfoForest     — parallel batch-dynamic UFO tree backend (Section 5;
-//                      level-synchronous batch updates on the fork-join
-//                      runtime, same query suite as UfoForest)
-//   UfoConnectivity  — general-graph connectivity (spanning forest over the
-//                      UFO tree + non-tree edge store; src/connectivity/;
-//                      the forest keeps component sizes only unless
-//                      constructed with core::Aggregates::kAll)
-//   ParUfoConnectivity — the same subsystem over the parallel backend
+// Every backend is used directly through its own type; the capability
+// concepts in core/capabilities.h say what each one supports:
+//
+//   par::UfoTree          — recommended: the paper's UFO tree with parallel
+//                           batch-dynamic updates (Section 5), full query
+//                           suite, O(min{log n, D}) updates
+//   seq::UfoTree          — the same structure and queries, sequential
+//   seq::Ternarizer<seq::TopologyTree>
+//                         — topology tree behind the dynamic ternarizer
+//                           (arbitrary degree; path + subtree queries)
+//   seq::LinkCutTree      — fastest sequential updates; connectivity + path
+//   seq::SplayTopTree     — self-adjusting; path + subtree queries
+//
+//   UfoConnectivity       — general-graph connectivity over par::UfoTree
+//                           (spanning forest + non-tree edge store;
+//                           src/connectivity/; the forest keeps component
+//                           sizes only unless constructed with
+//                           core::Aggregates::kAll)
 #pragma once
 
 #include "connectivity/connectivity.h"
 #include "core/capabilities.h"
-#include "core/dynamic_forest.h"
 #include "graph/forest.h"
 #include "graph/generators.h"
 #include "parallel/par_ufo_tree.h"
@@ -33,21 +33,14 @@
 
 namespace ufo {
 
-using UfoForest = core::DynamicForest<seq::UfoTree>;
-using TopologyForest = core::DynamicForest<seq::Ternarizer<seq::TopologyTree>>;
-using LinkCutForest = core::DynamicForest<seq::LinkCutTree>;
-using SplayTopForest = core::DynamicForest<seq::SplayTopTree>;
-using ParUfoForest = core::DynamicForest<par::UfoTree>;
-using UfoConnectivity = conn::GraphConnectivity<seq::UfoTree>;
-using ParUfoConnectivity = conn::GraphConnectivity<par::UfoTree>;
+using UfoConnectivity = conn::GraphConnectivity<par::UfoTree>;
 
-// The headline structure carries the full Table 1 capability row.
+// Both UFO backends carry the full Table 1 capability row (the queries are
+// shared code).
 static_assert(core::FullDynamicTree<seq::UfoTree>);
 static_assert(core::BatchDynamic<seq::UfoTree>);
-static_assert(core::GraphConnectivity<UfoConnectivity>);
-// The parallel backend carries the same row (the queries are shared code).
 static_assert(core::FullDynamicTree<par::UfoTree>);
 static_assert(core::BatchDynamic<par::UfoTree>);
-static_assert(core::GraphConnectivity<ParUfoConnectivity>);
+static_assert(core::GraphConnectivity<UfoConnectivity>);
 
 }  // namespace ufo

@@ -514,9 +514,9 @@ void UfoCore::rake_index_merge_runs(uint32_t p,
     });
     marks = par::map(n, [&](size_t i) { return cold_[rakes[i]].contrib_mark; });
     marks = par::filter(marks, [&](int64_t m) { return m < kInf; });
-    par::par_sort(depths);
-    par::par_sort(diams);
-    par::par_sort(marks);
+    par::sort(depths);
+    par::sort(diams);
+    par::sort(marks);
   } else {
     marks.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -1470,9 +1470,13 @@ Vertex UfoCore::component_center(Vertex v) const {
       }
       int64_t others_vs_rake =
           std::max({far_x, extb, second_far});  // deepest non-best branch
-      if (best_rake != 0 && best_far > others_vs_rake &&
-          best_far > std::max(far_x, extb)) {
-        // Center strictly inside the deepest rake.
+      // best_far == others_vs_rake + 1 makes b and the deepest rake's end
+      // both centers; the smaller id wins.
+      if (best_rake != 0 &&
+          (best_far > others_vs_rake + 1 ||
+           (best_far == others_vs_rake + 1 &&
+            nbrs(best_rake)[0].my_end < b))) {
+        // Center inside the deepest rake.
         const Cold& sd = cold_[best_rake];
         int js = boundary_slot(sd, nbrs(best_rake)[0].my_end);
         int64_t next[2] = {INT64_MIN / 4, INT64_MIN / 4};
@@ -1525,10 +1529,12 @@ Vertex UfoCore::component_center(Vertex v) const {
     };
     int64_t fa = side_far(ad, sa, ph.merge_u);
     int64_t fb = side_far(bd, sb, ph.merge_v);
-    const Cold& go = fa >= fb ? ad : bd;
-    uint32_t goid = fa >= fb ? A : B;
-    Vertex ge = fa >= fb ? ph.merge_u : ph.merge_v;
-    int64_t other_far = fa >= fb ? fb : fa;
+    // fa == fb makes both merge endpoints centers; the smaller id wins.
+    bool go_a = fa > fb || (fa == fb && ph.merge_u < ph.merge_v);
+    const Cold& go = go_a ? ad : bd;
+    uint32_t goid = go_a ? A : B;
+    Vertex ge = go_a ? ph.merge_u : ph.merge_v;
+    int64_t other_far = go_a ? fb : fa;
     int64_t next[2] = {INT64_MIN / 4, INT64_MIN / 4};
     for (int i = 0; i < 2; ++i) {
       if (go.bv[i] == kNoVertex) continue;

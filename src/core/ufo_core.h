@@ -108,7 +108,7 @@ class UfoCore {
   Vertex lca(Vertex u, Vertex v, Vertex r) const;
   void path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const;
   int64_t component_diameter(Vertex v) const;
-  Vertex component_center(Vertex v) const;
+  Vertex component_center(Vertex v) const;  // of two centers, the smaller id
   Vertex component_median(Vertex v) const;
   int64_t nearest_marked_distance(Vertex v) const;
 

@@ -193,18 +193,6 @@ void sort(std::vector<T>& v, Cmp cmp) {
   Rec::go(v.data(), scratch.data(), v.size(), cmp, /*to_scratch=*/false);
 }
 
-// Canonical name used by the batch-update algorithms (mirrors the paper's
-// parallel sort primitive).
-template <class T, class Cmp>
-void par_sort(std::vector<T>& v, Cmp cmp) {
-  sort(v, cmp);
-}
-
-template <class T>
-void par_sort(std::vector<T>& v) {
-  sort(v, std::less<T>{});
-}
-
 template <class T>
 void sort(std::vector<T>& v) {
   sort(v, std::less<T>{});

@@ -1,5 +1,5 @@
-// Typed tests driving every dynamic-tree backend in the library through the
-// core DynamicForest facade. One generic suite, instantiated per backend,
+// Typed tests driving every dynamic-tree backend in the library directly
+// through its own type. One generic suite, instantiated per backend,
 // checks the common operation surface; capability-gated sections (via the
 // core concepts) additionally verify path, subtree, batch, and non-local
 // behaviour on the backends that support them — exactly the Table 1 matrix.
@@ -7,21 +7,16 @@
 
 #include <vector>
 
-#include "core/dynamic_forest.h"
 #include "core/ufo.h"
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
 #include "seq/ett_skiplist.h"
 #include "seq/ett_splay.h"
 #include "seq/ett_treap.h"
-#include "seq/rc_tree.h"
-#include "seq/top_tree.h"
 #include "util/random.h"
 
 namespace ufo {
 namespace {
-
-using core::DynamicForest;
 
 uint64_t rnd(util::SplitMix64& g, uint64_t lo, uint64_t hi) {
   return lo + g.next(hi - lo + 1);
@@ -31,22 +26,21 @@ template <class Backend>
 class CoreApiTest : public ::testing::Test {};
 
 using Backends =
-    ::testing::Types<seq::UfoTree, seq::Ternarizer<seq::TopologyTree>,
-                     seq::LinkCutTree, seq::SplayTopTree, seq::TopTree,
-                     seq::RcTree, seq::EttTreap, seq::EttSplay,
+    ::testing::Types<par::UfoTree, seq::UfoTree,
+                     seq::Ternarizer<seq::TopologyTree>, seq::LinkCutTree,
+                     seq::SplayTopTree, seq::EttTreap, seq::EttSplay,
                      seq::EttSkipList, RefForest>;
 
 class BackendNames {
  public:
   template <class T>
   static std::string GetName(int) {
+    if constexpr (std::is_same_v<T, par::UfoTree>) return "ParUfo";
     if constexpr (std::is_same_v<T, seq::UfoTree>) return "Ufo";
     if constexpr (std::is_same_v<T, seq::Ternarizer<seq::TopologyTree>>)
       return "Topology";
     if constexpr (std::is_same_v<T, seq::LinkCutTree>) return "LinkCut";
     if constexpr (std::is_same_v<T, seq::SplayTopTree>) return "SplayTop";
-    if constexpr (std::is_same_v<T, seq::TopTree>) return "TopTree";
-    if constexpr (std::is_same_v<T, seq::RcTree>) return "RcTree";
     if constexpr (std::is_same_v<T, seq::EttTreap>) return "EttTreap";
     if constexpr (std::is_same_v<T, seq::EttSplay>) return "EttSplay";
     if constexpr (std::is_same_v<T, seq::EttSkipList>) return "EttSkip";
@@ -63,21 +57,21 @@ TYPED_TEST(CoreApiTest, SatisfiesDynamicTreeConcept) {
 }
 
 TYPED_TEST(CoreApiTest, EmptyForestIsDisconnected) {
-  DynamicForest<TypeParam> f(8);
+  TypeParam f(8);
   EXPECT_EQ(f.size(), 8u);
   for (Vertex u = 0; u < 8; ++u)
     for (Vertex v = u + 1; v < 8; ++v) EXPECT_FALSE(f.connected(u, v));
 }
 
 TYPED_TEST(CoreApiTest, SelfConnectivity) {
-  DynamicForest<TypeParam> f(4);
+  TypeParam f(4);
   for (Vertex v = 0; v < 4; ++v) EXPECT_TRUE(f.connected(v, v));
   f.link(0, 1);
   EXPECT_TRUE(f.connected(0, 0));
 }
 
 TYPED_TEST(CoreApiTest, LinkConnectsCutDisconnects) {
-  DynamicForest<TypeParam> f(6);
+  TypeParam f(6);
   f.link(0, 1);
   f.link(1, 2);
   f.link(3, 4);
@@ -89,16 +83,9 @@ TYPED_TEST(CoreApiTest, LinkConnectsCutDisconnects) {
   EXPECT_TRUE(f.connected(0, 1));
 }
 
-TYPED_TEST(CoreApiTest, EdgeListConstructor) {
-  EdgeList edges = gen::perfect_binary(31);
-  DynamicForest<TypeParam> f(31, edges);
-  for (const Edge& e : edges) EXPECT_TRUE(f.connected(e.u, e.v));
-  EXPECT_TRUE(f.connected(0, 30));
-}
-
 TYPED_TEST(CoreApiTest, StarBuildAndTeardown) {
   constexpr size_t n = 40;
-  DynamicForest<TypeParam> f(n);
+  TypeParam f(n);
   for (Vertex v = 1; v < n; ++v) f.link(0, v);
   EXPECT_TRUE(f.connected(1, n - 1));
   for (Vertex v = 1; v < n; ++v) {
@@ -112,7 +99,7 @@ TYPED_TEST(CoreApiTest, StarBuildAndTeardown) {
 
 TYPED_TEST(CoreApiTest, PathSplitAndRejoin) {
   constexpr size_t n = 33;
-  DynamicForest<TypeParam> f(n);
+  TypeParam f(n);
   for (Vertex v = 1; v < n; ++v) f.link(v - 1, v);
   f.cut(15, 16);
   EXPECT_TRUE(f.connected(0, 15));
@@ -124,7 +111,7 @@ TYPED_TEST(CoreApiTest, PathSplitAndRejoin) {
 
 TYPED_TEST(CoreApiTest, ConnectivityMatchesOracleUnderChurn) {
   constexpr size_t n = 48;
-  DynamicForest<TypeParam> f(n);
+  TypeParam f(n);
   RefForest ref(n);
   util::SplitMix64 rng(99);
   std::vector<Edge> live;
@@ -157,7 +144,7 @@ TYPED_TEST(CoreApiTest, ConnectivityMatchesOracleUnderChurn) {
 TYPED_TEST(CoreApiTest, PathAggregatesIfSupported) {
   if constexpr (core::PathQueryable<TypeParam>) {
     constexpr size_t n = 64;
-    DynamicForest<TypeParam> f(n);
+    TypeParam f(n);
     RefForest ref(n);
     util::SplitMix64 rng(7);
     EdgeList edges = gen::random_degree3(n, 3);
@@ -181,7 +168,7 @@ TYPED_TEST(CoreApiTest, PathAggregatesIfSupported) {
 TYPED_TEST(CoreApiTest, SubtreeAggregatesIfSupported) {
   if constexpr (core::SubtreeQueryable<TypeParam>) {
     constexpr size_t n = 60;
-    DynamicForest<TypeParam> f(n);
+    TypeParam f(n);
     RefForest ref(n);
     util::SplitMix64 rng(21);
     EdgeList edges = gen::random_unbounded(n, 5);
@@ -208,7 +195,7 @@ TYPED_TEST(CoreApiTest, SubtreeAggregatesIfSupported) {
 TYPED_TEST(CoreApiTest, BatchUpdatesIfSupported) {
   if constexpr (core::BatchDynamic<TypeParam>) {
     constexpr size_t n = 80;
-    DynamicForest<TypeParam> f(n);
+    TypeParam f(n);
     RefForest ref(n);
     EdgeList edges = gen::pref_attach(n, 17);
     // Insert in two batches, then delete in three.
@@ -240,7 +227,7 @@ TYPED_TEST(CoreApiTest, BatchUpdatesIfSupported) {
 TYPED_TEST(CoreApiTest, NonLocalQueriesIfSupported) {
   if constexpr (core::NonLocalQueryable<TypeParam>) {
     constexpr size_t n = 50;
-    DynamicForest<TypeParam> f(n);
+    TypeParam f(n);
     RefForest ref(n);
     util::SplitMix64 rng(31);
     EdgeList edges = gen::random_unbounded(n, 9);
@@ -273,7 +260,7 @@ TYPED_TEST(CoreApiTest, NonLocalQueriesIfSupported) {
 
 TYPED_TEST(CoreApiTest, ManySmallComponents) {
   constexpr size_t n = 60;
-  DynamicForest<TypeParam> f(n);
+  TypeParam f(n);
   // 20 disjoint triangles-minus-an-edge (paths of 3).
   for (Vertex b = 0; b + 2 < n; b += 3) {
     f.link(b, b + 1);

@@ -240,6 +240,45 @@ TEST(ParUfo, NonLocalQueriesDifferential) {
   }
 }
 
+// A tree of odd diameter has two adjacent centers. Both backends return
+// the smaller id (RefForest's answer), whatever shape their contraction
+// hierarchies took, so the answer does not depend on the backend or on the
+// update history.
+TEST(ParUfo, CenterTieGoesToSmallerId) {
+  constexpr size_t n = 240;
+  const std::vector<EdgeList> inputs = {
+      gen::path(n), gen::random_unbounded(n, 3), gen::pref_attach(n, 4),
+      gen::random_degree3(n, 5)};
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    EdgeList edges = inputs[in];
+    UfoTree t(n);
+    seq::UfoTree s(n);
+    RefForest ref(n);
+    t.batch_link(edges);
+    util::shuffle(edges, 7 + in);
+    for (const Edge& e : edges) {
+      s.link(e.u, e.v, e.w);
+      ref.link(e.u, e.v, e.w);
+    }
+    for (int round = 0; round < 3; ++round) {
+      for (Vertex u = 0; u < n; u += 7) {
+        ASSERT_EQ(t.component_center(u), ref.component_center(u))
+            << "input " << in << " round " << round << " u " << u;
+        ASSERT_EQ(s.component_center(u), ref.component_center(u))
+            << "input " << in << " round " << round << " u " << u;
+      }
+      // Split off a few subtrees and check the pieces.
+      std::vector<Edge> cuts(edges.end() - 5, edges.end());
+      edges.resize(edges.size() - 5);
+      t.batch_cut(cuts);
+      for (const Edge& e : cuts) {
+        s.cut(e.u, e.v);
+        ref.cut(e.u, e.v);
+      }
+    }
+  }
+}
+
 // The connectivity subsystem gains a parallel spanning-forest backend for
 // free; run its invariant audit under general-graph batch churn.
 TEST(ParUfo, GraphConnectivityBackend) {

@@ -4,9 +4,7 @@
 
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
-#include "seq/rc_tree.h"
 #include "seq/ternarize.h"
-#include "seq/top_tree.h"
 #include "seq/topology_tree.h"
 #include "util/random.h"
 
@@ -109,9 +107,9 @@ TEST(Ternarizer, RandomizedDifferential) {
   }
 }
 
-TEST(RcTree, BuildQueryDestroy) {
+TEST(Ternarizer, PrefAttachBuildShuffledDestroy) {
   constexpr size_t n = 200;
-  RcTree t(n);
+  TernTopology t(n);
   auto edges = gen::pref_attach(n, 7);
   for (const Edge& e : edges) t.link(e.u, e.v);
   EXPECT_TRUE(t.connected(0, n - 1));
@@ -121,9 +119,9 @@ TEST(RcTree, BuildQueryDestroy) {
   EXPECT_FALSE(t.connected(0, 1));
 }
 
-TEST(TopTree, BuildQueryDestroy) {
+TEST(Ternarizer, RandomUnboundedPathSumMatchesRef) {
   constexpr size_t n = 150;
-  TopTree t(n);
+  TernTopology t(n);
   RefForest ref(n);
   auto edges = gen::random_unbounded(n, 9);
   for (const Edge& e : edges) {
