@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "parallel/primitives.h"
@@ -944,6 +945,13 @@ bool UfoCore::check_valid() const {
 // through superunary clusters are empty.
 // ---------------------------------------------------------------------------
 
+// A query whose input breaks its precondition: name it and abort.
+[[noreturn]] static void bad_query(const char* query, Vertex a, Vertex b,
+                                   const char* what) {
+  std::fprintf(stderr, "ufo: %s(%u, %u): %s\n", query, a, b, what);
+  std::abort();
+}
+
 void UfoCore::require_all(const char* query) const {
   if (agg_ == Aggregates::kAll) return;
   std::fprintf(stderr,
@@ -958,30 +966,29 @@ bool UfoCore::connected(Vertex u, Vertex v) const {
   return tree_root(u) == tree_root(v);
 }
 
-bool UfoCore::is_ancestor(uint32_t anc, uint32_t leaf) const {
-  uint32_t c = leaf;
-  while (c != 0 && hot_[c].level < hot_[anc].level) c = hot_[c].parent;
-  return c == anc;
-}
-
 uint32_t UfoCore::lca_cluster(uint32_t a, uint32_t b) const {
-  while (hot_[a].level < hot_[b].level) a = hot_[a].parent;
-  while (hot_[b].level < hot_[a].level) b = hot_[b].parent;
+  while (hot_[a].level < hot_[b].level)
+    if ((a = hot_[a].parent) == 0) return 0;
+  while (hot_[b].level < hot_[a].level)
+    if ((b = hot_[b].parent) == 0) return 0;
   while (a != b) {
     a = hot_[a].parent;
     b = hot_[b].parent;
-    assert(a != 0 && b != 0 && "vertices not connected");
+    if (a == 0 || b == 0) return 0;
   }
   return a;
 }
 
+template <class Visit>
 UfoCore::RepPath UfoCore::climb_rep_path(Vertex from, uint32_t stop,
-                                         uint32_t* child) const {
+                                         uint32_t* child,
+                                         Visit&& visit) const {
   uint32_t c = leaf_id(from);
   RepPath rp;
   while (hot_[c].parent != stop) {
     uint32_t p = hot_[c].parent;
     assert(p != 0 && "stop must be an ancestor");
+    visit(c, p, rp);
     const Hot& ph = hot_[p];
     const Cold& pd = cold_[p];
     const Cold& cd = cold_[c];
@@ -1047,111 +1054,78 @@ UfoCore::RepPath UfoCore::climb_rep_path(Vertex from, uint32_t stop,
   return rp;
 }
 
-// Value of f from the climbed endpoint (inside `child`) to the center
-// vertex of the superunary LCA cluster.
-void UfoCore::side_to_center(uint32_t lca, uint32_t child, const RepPath& rp,
-                             Weight* sum, Weight* mx, int64_t* len) const {
-  const Cold& cd = cold_[child];
-  if (child == hot_[lca].center_child) {
-    Vertex b = cd.bv[0];
-    int j = boundary_slot(cd, b);
-    assert(j >= 0);
-    *sum = rp.sum[j];
-    *mx = rp.max[j];
-    *len = rp.len[j];
-  } else {
-    const Adj& e = nbrs(child)[0];
-    int j = boundary_slot(cd, e.my_end);
-    assert(j >= 0);
-    *sum = rp.sum[j] + e.w;
-    *mx = std::max(rp.max[j], e.w);
-    *len = rp.len[j] + 1;
+UfoCore::PathAgg UfoCore::side_to_center(uint32_t lca, uint32_t child,
+                                         const RepPath& rp) const {
+  // The center vertex is the center child's bv[0]; a rake reaches it
+  // across its single edge.
+  if (child == hot_[lca].center_child) return {rp.sum[0], rp.max[0], rp.len[0]};
+  const Adj& e = nbrs(child)[0];
+  int j = boundary_slot(cold_[child], e.my_end);
+  assert(j >= 0);
+  return {rp.sum[j] + e.w, std::max(rp.max[j], e.w), rp.len[j] + 1};
+}
+
+UfoCore::PathAgg UfoCore::path_agg(Vertex u, Vertex v,
+                                   const char* query) const {
+  require_all(query);
+  if (u == v) return {0, std::numeric_limits<Weight>::min(), 0};
+  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
+  if (lca == 0) bad_query(query, u, v, "vertices in different trees");
+  auto no_visit = [](uint32_t, uint32_t, const RepPath&) {};
+  uint32_t cu = 0, cv = 0;
+  RepPath ru = climb_rep_path(u, lca, &cu, no_visit);
+  RepPath rv = climb_rep_path(v, lca, &cv, no_visit);
+  const Hot& L = hot_[lca];
+  if (L.center_child != 0) {
+    PathAgg a = side_to_center(lca, cu, ru);
+    PathAgg b = side_to_center(lca, cv, rv);
+    return {a.sum + b.sum, std::max(a.max, b.max), a.len + b.len};
   }
+  // Pair merge: the path crosses the merge edge.
+  assert(L.children.size == 2);
+  Span<const uint32_t> kids = children(lca);
+  int su = boundary_slot(cold_[cu], kids[0] == cu ? L.merge_u : L.merge_v);
+  int sv = boundary_slot(cold_[cv], kids[0] == cv ? L.merge_u : L.merge_v);
+  assert(su >= 0 && sv >= 0);
+  return {ru.sum[su] + L.merge_w + rv.sum[sv],
+          std::max({ru.max[su], L.merge_w, rv.max[sv]}),
+          ru.len[su] + 1 + rv.len[sv]};
 }
 
 Weight UfoCore::path_sum(Vertex u, Vertex v) const {
-  require_all("path_sum");
-  if (u == v) return 0;
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
-  uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
-  const Hot& L = hot_[lca];
-  if (L.center_child != 0) {
-    Weight su, mu, sv, mv;
-    int64_t lu, lv;
-    side_to_center(lca, cu, ru, &su, &mu, &lu);
-    side_to_center(lca, cv, rv, &sv, &mv, &lv);
-    return su + sv;
-  }
-  assert(L.children.size == 2);
-  Span<const uint32_t> kids = children(lca);
-  Vertex eu = (kids[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (kids[0] == cv) ? L.merge_u : L.merge_v;
-  int su = boundary_slot(cold_[cu], eu);
-  int sv = boundary_slot(cold_[cv], ev);
-  assert(su >= 0 && sv >= 0);
-  return ru.sum[su] + L.merge_w + rv.sum[sv];
+  return path_agg(u, v, "path_sum").sum;
 }
 
 Weight UfoCore::path_max(Vertex u, Vertex v) const {
-  require_all("path_max");
-  assert(u != v);
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
-  uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
-  const Hot& L = hot_[lca];
-  if (L.center_child != 0) {
-    Weight su, mu, sv, mv;
-    int64_t lu, lv;
-    side_to_center(lca, cu, ru, &su, &mu, &lu);
-    side_to_center(lca, cv, rv, &sv, &mv, &lv);
-    return std::max(mu, mv);
-  }
-  Span<const uint32_t> kids = children(lca);
-  Vertex eu = (kids[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (kids[0] == cv) ? L.merge_u : L.merge_v;
-  int su = boundary_slot(cold_[cu], eu);
-  int sv = boundary_slot(cold_[cv], ev);
-  return std::max({ru.max[su], L.merge_w, rv.max[sv]});
+  return path_agg(u, v, "path_max").max;
 }
 
 int64_t UfoCore::path_length(Vertex u, Vertex v) const {
-  require_all("path_length");
-  if (u == v) return 0;
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
-  uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
-  const Hot& L = hot_[lca];
-  if (L.center_child != 0) {
-    Weight su, mu, sv, mv;
-    int64_t lu, lv;
-    side_to_center(lca, cu, ru, &su, &mu, &lu);
-    side_to_center(lca, cv, rv, &sv, &mv, &lv);
-    return lu + lv;
-  }
-  Span<const uint32_t> kids = children(lca);
-  Vertex eu = (kids[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (kids[0] == cv) ? L.merge_u : L.merge_v;
-  int su = boundary_slot(cold_[cu], eu);
-  int sv = boundary_slot(cold_[cv], ev);
-  return ru.len[su] + 1 + rv.len[sv];
+  return path_agg(u, v, "path_length").len;
 }
 
-Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
-  require_all("subtree_sum");
-  assert(has_edge(v, p));
+// Subtree aggregates of v with parent p: climb from the LCA child on v's
+// side, tracking which boundary vertices of the current cluster lie inside
+// subtree(v, p); siblings attaching at an inside boundary contribute their
+// whole contents. At the first step the (v, p) edge itself joins the two
+// sides, so p's side is never taken.
+UfoCore::SubtreeAgg UfoCore::subtree_agg(Vertex v, Vertex p,
+                                         const char* query) const {
+  require_all(query);
+  if (!has_edge(v, p)) bad_query(query, v, p, "not a forest edge");
   uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
   uint32_t cv = leaf_id(v), cp = leaf_id(p);
   while (hot_[cv].parent != lca) cv = hot_[cv].parent;
   while (hot_[cp].parent != lca) cp = hot_[cp].parent;
-  const Cold& V = cold_[cv];
-  Weight acc = V.sub_sum;
+  SubtreeAgg acc;
+  auto take = [&](uint32_t s) {
+    acc.sum += cold_[s].sub_sum;
+    acc.size += sizes_[s].n_verts;
+  };
+  take(cv);
   bool in[2] = {false, false};
   for (int i = 0; i < 2; ++i)
-    if (V.bv[i] != kNoVertex) in[i] = true;
+    if (cold_[cv].bv[i] != kNoVertex) in[i] = true;
   uint32_t x = cv;
   bool first = true;
   while (hot_[x].parent != 0) {
@@ -1161,105 +1135,23 @@ Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
     const Cold& xd = cold_[x];
     bool nin[2] = {false, false};
     if (ph.center_child != 0) {
+      bool inside;
       if (x == ph.center_child) {
-        Vertex b = xd.bv[0];
-        int jb = boundary_slot(xd, b);
-        assert(jb >= 0);
-        bool b_in = in[jb];
-        for (uint32_t s : children(pid)) {
-          if (s == x) continue;
-          if (first && s == cp) continue;  // the (v,p) edge crosses here
-          if (b_in) acc += cold_[s].sub_sum;
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nin[i] = b_in;
+        // The rakes attach at the center vertex, x's bv[0].
+        inside = in[0];
+        if (inside)
+          for (uint32_t s : children(pid))
+            if (s != x && !(first && s == cp)) take(s);
       } else {
         // x is a rake; crossing its edge reaches the rest of the tree.
-        const Adj& e = nbrs(x)[0];
-        int j = boundary_slot(xd, e.my_end);
-        assert(j >= 0);
-        bool crossing = in[j] && !first;
-        if (crossing) {
+        int j = boundary_slot(xd, nbrs(x)[0].my_end);
+        inside = j >= 0 && in[j] && !first;
+        if (inside)
           for (uint32_t s : children(pid))
-            if (s != x) acc += cold_[s].sub_sum;
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nin[i] = crossing;
+            if (s != x) take(s);
       }
-    } else if (ph.children.size == 1) {
-      for (int i = 0; i < 2; ++i) {
-        if (pd.bv[i] == kNoVertex) continue;
-        int j = boundary_slot(xd, pd.bv[i]);
-        assert(j >= 0);
-        nin[i] = in[j];
-      }
-    } else {
-      Span<const uint32_t> kids = children(pid);
-      bool xfirst = (kids[0] == x);
-      uint32_t sib = xfirst ? kids[1] : kids[0];
-      Vertex xe = xfirst ? ph.merge_u : ph.merge_v;
-      const Cold& sd = cold_[sib];
-      int jx = boundary_slot(xd, xe);
-      bool sib_inside = jx >= 0 && in[jx] && !(first && sib == cp);
-      if (sib_inside) acc += sd.sub_sum;
-      for (int i = 0; i < 2; ++i) {
-        Vertex q = pd.bv[i];
-        if (q == kNoVertex) continue;
-        int j = boundary_slot(xd, q);
-        nin[i] = j >= 0 ? in[j] : sib_inside;
-      }
-    }
-    in[0] = nin[0];
-    in[1] = nin[1];
-    x = pid;
-    first = false;
-  }
-  return acc;
-}
-
-size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
-  require_all("subtree_size");
-  assert(has_edge(v, p));
-  uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
-  uint32_t cv = leaf_id(v), cp = leaf_id(p);
-  while (hot_[cv].parent != lca) cv = hot_[cv].parent;
-  while (hot_[cp].parent != lca) cp = hot_[cp].parent;
-  const Cold& V = cold_[cv];
-  size_t acc = sizes_[cv].n_verts;
-  bool in[2] = {false, false};
-  for (int i = 0; i < 2; ++i)
-    if (V.bv[i] != kNoVertex) in[i] = true;
-  uint32_t x = cv;
-  bool first = true;
-  while (hot_[x].parent != 0) {
-    uint32_t pid = hot_[x].parent;
-    const Hot& ph = hot_[pid];
-    const Cold& pd = cold_[pid];
-    const Cold& xd = cold_[x];
-    bool nin[2] = {false, false};
-    if (ph.center_child != 0) {
-      if (x == ph.center_child) {
-        Vertex b = xd.bv[0];
-        int jb = boundary_slot(xd, b);
-        bool b_in = jb >= 0 && in[jb];
-        for (uint32_t s : children(pid)) {
-          if (s == x) continue;
-          if (first && s == cp) continue;
-          if (b_in) acc += sizes_[s].n_verts;
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nin[i] = b_in;
-      } else {
-        const Adj& e = nbrs(x)[0];
-        int j = boundary_slot(xd, e.my_end);
-        bool crossing = j >= 0 && in[j] && !first;
-        if (crossing) {
-          for (uint32_t s : children(pid))
-            if (s != x) acc += sizes_[s].n_verts;
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nin[i] = crossing;
-      }
+      for (int i = 0; i < 2; ++i)
+        if (pd.bv[i] != kNoVertex) nin[i] = inside;
     } else if (ph.children.size == 1) {
       for (int i = 0; i < 2; ++i) {
         if (pd.bv[i] == kNoVertex) continue;
@@ -1270,10 +1162,9 @@ size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
       Span<const uint32_t> kids = children(pid);
       bool xfirst = (kids[0] == x);
       uint32_t sib = xfirst ? kids[1] : kids[0];
-      Vertex xe = xfirst ? ph.merge_u : ph.merge_v;
-      int jx = boundary_slot(xd, xe);
-      bool sib_inside = jx >= 0 && in[jx] && !(first && sib == cp);
-      if (sib_inside) acc += sizes_[sib].n_verts;
+      int jx = boundary_slot(xd, xfirst ? ph.merge_u : ph.merge_v);
+      bool sib_inside = jx >= 0 && in[jx] && !first;
+      if (sib_inside) take(sib);
       for (int i = 0; i < 2; ++i) {
         Vertex q = pd.bv[i];
         if (q == kNoVertex) continue;
@@ -1289,9 +1180,20 @@ size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
   return acc;
 }
 
+Weight UfoCore::subtree_sum(Vertex v, Vertex p) const {
+  return subtree_agg(v, p, "subtree_sum").sum;
+}
+
+size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
+  return subtree_agg(v, p, "subtree_size").size;
+}
+
 void UfoCore::path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const {
   require_all("path_milestone");
+  if (u == v) bad_query("path_milestone", u, v, "empty path");
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
+  if (lca == 0)
+    bad_query("path_milestone", u, v, "vertices in different trees");
   const Hot& L = hot_[lca];
   uint32_t cu = leaf_id(u);
   while (hot_[cu].parent != lca) cu = hot_[cu].parent;
@@ -1355,83 +1257,44 @@ int64_t UfoCore::component_diameter(Vertex v) const {
   return cold_[tree_root(v)].diam;
 }
 
+// One representative-path climb to the root: at each step the visitor
+// scores the clusters hanging off the climbed path by their nearest mark.
 int64_t UfoCore::nearest_marked_distance(Vertex v) const {
   require_all("nearest_marked_distance");
   int64_t best = marked_[v] ? 0 : kInf;
-  uint32_t c = leaf_id(v);
-  int64_t len[2] = {0, 0};
-  while (hot_[c].parent != 0) {
-    uint32_t pid = hot_[c].parent;
-    const Hot& ph = hot_[pid];
-    const Cold& pd = cold_[pid];
-    const Cold& cd = cold_[c];
-    int64_t nlen[2] = {0, 0};
+  // d = hop distance from v to the vertex `at` inside s.
+  auto score = [&](int64_t d, uint32_t s, Vertex at) {
+    const Cold& sd = cold_[s];
+    int j = boundary_slot(sd, at);
+    if (j >= 0 && sd.marked_dist[j] < kInf)
+      best = std::min(best, d + sd.marked_dist[j]);
+  };
+  auto visit = [&](uint32_t c, uint32_t p, const RepPath& rp) {
+    const Hot& ph = hot_[p];
     if (ph.center_child != 0) {
-      if (c == ph.center_child) {
-        Vertex b = cd.bv[0];
-        int jb = boundary_slot(cd, b);
-        assert(jb >= 0);
-        for (uint32_t s : children(pid)) {
-          if (s == c) continue;
-          const Cold& sd = cold_[s];
-          int js = boundary_slot(sd, nbrs(s)[0].my_end);
-          if (js >= 0 && sd.marked_dist[js] < kInf)
-            best = std::min(best, len[jb] + 1 + sd.marked_dist[js]);
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nlen[i] = len[jb];
-      } else {
-        const Adj& e = nbrs(c)[0];
-        int j = boundary_slot(cd, e.my_end);
+      // Every rake hangs one edge off the center vertex (the center
+      // child's bv[0]); a rake's own edge leads from it to that vertex.
+      int64_t at_b = rp.len[0];
+      if (c != ph.center_child) {
+        int j = boundary_slot(cold_[c], nbrs(c)[0].my_end);
         assert(j >= 0);
-        int64_t at_b = len[j] + 1;  // distance from v to the center vertex
-        const Cold& xd = cold_[ph.center_child];
-        int jb = boundary_slot(xd, xd.bv[0]);
-        if (jb >= 0 && xd.marked_dist[jb] < kInf)
-          best = std::min(best, at_b + xd.marked_dist[jb]);
-        for (uint32_t s : children(pid)) {
-          if (s == c || s == ph.center_child) continue;
-          const Cold& sd = cold_[s];
-          int js = boundary_slot(sd, nbrs(s)[0].my_end);
-          if (js >= 0 && sd.marked_dist[js] < kInf)
-            best = std::min(best, at_b + 1 + sd.marked_dist[js]);
-        }
-        for (int i = 0; i < 2; ++i)
-          if (pd.bv[i] != kNoVertex) nlen[i] = at_b;
+        at_b = rp.len[j] + 1;
+        score(at_b, ph.center_child, cold_[ph.center_child].bv[0]);
       }
+      for (uint32_t s : children(p))
+        if (s != c && s != ph.center_child)
+          score(at_b + 1, s, nbrs(s)[0].my_end);
     } else if (ph.children.size == 2) {
-      Span<const uint32_t> kids = children(pid);
+      Span<const uint32_t> kids = children(p);
       bool first = (kids[0] == c);
-      uint32_t sib = first ? kids[1] : kids[0];
-      Vertex xe = first ? ph.merge_u : ph.merge_v;
-      Vertex se = first ? ph.merge_v : ph.merge_u;
-      const Cold& sd = cold_[sib];
-      int jx = boundary_slot(cd, xe);
-      int js = boundary_slot(sd, se);
-      assert(jx >= 0 && js >= 0);
-      if (sd.marked_dist[js] < kInf)
-        best = std::min(best, len[jx] + 1 + sd.marked_dist[js]);
-      for (int i = 0; i < 2; ++i) {
-        Vertex q = pd.bv[i];
-        if (q == kNoVertex) continue;
-        int j = boundary_slot(cd, q);
-        if (j >= 0)
-          nlen[i] = len[j];
-        else
-          nlen[i] = len[jx] + 1 + (q == se ? 0 : sd.path_len);
-      }
-    } else {
-      for (int i = 0; i < 2; ++i) {
-        if (pd.bv[i] == kNoVertex) continue;
-        int j = boundary_slot(cd, pd.bv[i]);
-        assert(j >= 0);
-        nlen[i] = len[j];
-      }
+      int jx = boundary_slot(cold_[c], first ? ph.merge_u : ph.merge_v);
+      assert(jx >= 0);
+      score(rp.len[jx] + 1, first ? kids[1] : kids[0],
+            first ? ph.merge_v : ph.merge_u);
     }
-    len[0] = nlen[0];
-    len[1] = nlen[1];
-    c = pid;
-  }
+  };
+  uint32_t root = 0;
+  climb_rep_path(v, 0, &root, visit);
   return best >= kInf ? -1 : best;
 }
 

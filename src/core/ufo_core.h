@@ -100,12 +100,21 @@ class UfoCore {
   void tree_roots(const Vertex* vs, size_t n, uint32_t* out) const;
   // Number of vertices in v's component: the root cluster's n_verts, O(height).
   size_t component_size(Vertex v) const { return sizes_[tree_root(v)].n_verts; }
+  // Path queries over edge weights; path_length counts hops. u and v must
+  // be connected (else: message and abort, every build type). u == v is
+  // the empty path: sum 0, length 0, and path_max returns
+  // std::numeric_limits<Weight>::min(), as RefForest does.
   Weight path_sum(Vertex u, Vertex v) const;
   Weight path_max(Vertex u, Vertex v) const;
-  int64_t path_length(Vertex u, Vertex v) const;  // hop count
+  int64_t path_length(Vertex u, Vertex v) const;
+  // Vertex-weight sum / vertex count of v's side of the tree rooted so that
+  // p is v's parent. (v, p) must be a forest edge (else: message and abort).
   Weight subtree_sum(Vertex v, Vertex p) const;
   size_t subtree_size(Vertex v, Vertex p) const;
   Vertex lca(Vertex u, Vertex v, Vertex r) const;
+  // An edge (a, b) of the u--v path that joins two children of their LCA
+  // cluster: a on u's side, b on v's side. Used by path selection.
+  // u != v, connected (else: message and abort).
   void path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const;
   int64_t component_diameter(Vertex v) const;
   Vertex component_center(Vertex v) const;  // of two centers, the smaller id
@@ -355,24 +364,37 @@ class UfoCore {
   // verification.
   bool recompute_matches(uint32_t id, bool report);
 
+  // f over one path: edge-weight sum and max, hop count.
+  struct PathAgg {
+    Weight sum = 0;
+    Weight max = kNegInf;
+    int64_t len = 0;
+  };
+  // f over the path from the query vertex to each boundary slot.
   struct RepPath {
     Weight sum[2] = {0, 0};
     Weight max[2] = {kNegInf, kNegInf};
     int64_t len[2] = {0, 0};
   };
-  RepPath climb_rep_path(Vertex from, uint32_t stop, uint32_t* child) const;
-  bool is_ancestor(uint32_t anc, uint32_t leaf) const;
+  // Climbs from the leaf of `from` up to (excluding) cluster `stop` (0 =
+  // to the root), maintaining f over the paths from `from` to the current
+  // cluster's boundary vertices. Before each step from c into its parent p,
+  // calls visit(c, p, rp) with rp keyed by c's boundary slots. On return
+  // *child is the topmost cluster reached and rp is keyed by its slots.
+  template <class Visit>
+  RepPath climb_rep_path(Vertex from, uint32_t stop, uint32_t* child,
+                         Visit&& visit) const;
+  // Lowest common ancestor cluster; 0 if a and b lie in different trees.
   uint32_t lca_cluster(uint32_t a, uint32_t b) const;
   int boundary_slot(const Cold& c, Vertex bv) const {
     if (c.bv[0] == bv) return 0;
     if (c.bv[1] == bv) return 1;
     return -1;
   }
-  // Value of f from a climbed endpoint to the center vertex of the LCA's
-  // superunary merge (used by path queries at superunary LCA clusters).
-  // child = the LCA child on that endpoint's side.
-  void side_to_center(uint32_t lca, uint32_t child, const RepPath& rp,
-                      Weight* sum, Weight* mx, int64_t* len) const;
+  // f from a climbed endpoint to the center vertex of the LCA's superunary
+  // merge. child = the LCA child on that endpoint's side.
+  PathAgg side_to_center(uint32_t lca, uint32_t child,
+                         const RepPath& rp) const;
 
   // Degree at which a cluster grows a hash index over its adjacency slab.
   static constexpr uint32_t kAdjIdxThreshold = 64;
@@ -403,6 +425,16 @@ class UfoCore {
  private:
   // Aborts with a message naming `query` unless this is a kAll forest.
   void require_all(const char* query) const;
+  // The path family's one walk: f over the u--v path (u == v gives the
+  // empty path). Aborts naming `query` if u and v lie in different trees.
+  PathAgg path_agg(Vertex u, Vertex v, const char* query) const;
+  // The subtree family's one walk: vertex-weight sum and vertex count of
+  // v's side of the forest edge (v, p). Aborts naming `query` otherwise.
+  struct SubtreeAgg {
+    Weight sum = 0;
+    size_t size = 0;
+  };
+  SubtreeAgg subtree_agg(Vertex v, Vertex p, const char* query) const;
   RakeIndex& rake_of(uint32_t p) { return rake_pool_.at(cold_[p].rake); }
   void rake_ensure(uint32_t p);
   void children_push(uint32_t p, uint32_t c);

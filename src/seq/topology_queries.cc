@@ -4,6 +4,9 @@
 // (diameter / center / median / nearest marked vertex).
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "seq/topology_tree.h"
 
@@ -14,35 +17,36 @@ bool TopologyTree::connected(Vertex u, Vertex v) const {
   return tree_root(u) == tree_root(v);
 }
 
-bool TopologyTree::is_ancestor(uint32_t anc, uint32_t leaf) const {
-  uint32_t c = leaf;
-  while (c != 0 && clusters_[c].level < clusters_[anc].level)
-    c = clusters_[c].parent;
-  return c == anc;
+// A query whose input breaks its precondition: name it and abort.
+[[noreturn]] static void bad_query(const char* query, Vertex a, Vertex b,
+                                   const char* what) {
+  std::fprintf(stderr, "topology: %s(%u, %u): %s\n", query, a, b, what);
+  std::abort();
 }
 
 uint32_t TopologyTree::lca_cluster(uint32_t a, uint32_t b) const {
-  while (clusters_[a].level < clusters_[b].level) a = clusters_[a].parent;
-  while (clusters_[b].level < clusters_[a].level) b = clusters_[b].parent;
+  while (clusters_[a].level < clusters_[b].level)
+    if ((a = clusters_[a].parent) == 0) return 0;
+  while (clusters_[b].level < clusters_[a].level)
+    if ((b = clusters_[b].parent) == 0) return 0;
   while (a != b) {
     a = clusters_[a].parent;
     b = clusters_[b].parent;
-    assert(a != 0 && b != 0 && "vertices not connected");
+    if (a == 0 || b == 0) return 0;
   }
   return a;
 }
 
-// Climbs from the leaf of `from` up to (excluding) cluster `stop`,
-// maintaining f over the path from `from` to each boundary vertex of the
-// current cluster. On return *child is the child of `stop` on from's side
-// and the RepPath is keyed by that child's boundary slots.
+template <class Visit>
 TopologyTree::RepPath TopologyTree::climb_rep_path(Vertex from, uint32_t stop,
-                                                   uint32_t* child) const {
+                                                   uint32_t* child,
+                                                   Visit&& visit) const {
   uint32_t c = leaf_id(from);
   RepPath rp;  // leaf: boundary = from itself; identity values (slot 0)
   while (clusters_[c].parent != stop) {
     uint32_t p = clusters_[c].parent;
     assert(p != 0 && "stop must be an ancestor");
+    visit(c, p, rp);
     const Cluster& pc = clusters_[p];
     const Cluster& cc = clusters_[c];
     RepPath np;
@@ -92,135 +96,58 @@ TopologyTree::RepPath TopologyTree::climb_rep_path(Vertex from, uint32_t stop,
   return rp;
 }
 
-namespace {
-struct PathAgg {
-  Weight sum = 0;
-  Weight max;
-  int64_t len = 0;
-};
-}  // namespace
-
-Weight TopologyTree::path_sum(Vertex u, Vertex v) const {
-  if (u == v) return 0;
+// The LCA cluster of two distinct leaves is a pair merge whose merge edge
+// lies on the u--v path.
+TopologyTree::PathAgg TopologyTree::path_agg(Vertex u, Vertex v,
+                                             const char* query) const {
+  if (u == v) return {0, std::numeric_limits<Weight>::min(), 0};
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
+  if (lca == 0) bad_query(query, u, v, "vertices in different trees");
+  auto no_visit = [](uint32_t, uint32_t, const RepPath&) {};
   uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
+  RepPath ru = climb_rep_path(u, lca, &cu, no_visit);
+  RepPath rv = climb_rep_path(v, lca, &cv, no_visit);
   const Cluster& L = clusters_[lca];
   assert(L.children.size() == 2);
-  Vertex eu = (L.children[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (L.children[0] == cv) ? L.merge_u : L.merge_v;
+  Vertex eu = L.children[0] == cu ? L.merge_u : L.merge_v;
+  Vertex ev = L.children[0] == cv ? L.merge_u : L.merge_v;
   int su = boundary_slot(clusters_[cu], eu);
   int sv = boundary_slot(clusters_[cv], ev);
   assert(su >= 0 && sv >= 0);
-  return ru.sum[su] + L.merge_w + rv.sum[sv];
+  return {ru.sum[su] + L.merge_w + rv.sum[sv],
+          std::max({ru.max[su], L.merge_w, rv.max[sv]}),
+          ru.len[su] + 1 + rv.len[sv]};
+}
+
+Weight TopologyTree::path_sum(Vertex u, Vertex v) const {
+  return path_agg(u, v, "path_sum").sum;
 }
 
 Weight TopologyTree::path_max(Vertex u, Vertex v) const {
-  assert(u != v);
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
-  uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
-  const Cluster& L = clusters_[lca];
-  Vertex eu = (L.children[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (L.children[0] == cv) ? L.merge_u : L.merge_v;
-  int su = boundary_slot(clusters_[cu], eu);
-  int sv = boundary_slot(clusters_[cv], ev);
-  return std::max({ru.max[su], L.merge_w, rv.max[sv]});
+  return path_agg(u, v, "path_max").max;
 }
 
 int64_t TopologyTree::path_length(Vertex u, Vertex v) const {
-  if (u == v) return 0;
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
-  uint32_t cu = 0, cv = 0;
-  RepPath ru = climb_rep_path(u, lca, &cu);
-  RepPath rv = climb_rep_path(v, lca, &cv);
-  const Cluster& L = clusters_[lca];
-  Vertex eu = (L.children[0] == cu) ? L.merge_u : L.merge_v;
-  Vertex ev = (L.children[0] == cv) ? L.merge_u : L.merge_v;
-  int su = boundary_slot(clusters_[cu], eu);
-  int sv = boundary_slot(clusters_[cv], ev);
-  return ru.len[su] + 1 + rv.len[sv];
+  return path_agg(u, v, "path_length").len;
 }
 
-// Subtree aggregate of v with parent p: climb from the child V of the LCA
+// Subtree aggregates of v with parent p: climb from the child V of the LCA
 // cluster on v's side, tracking which boundary vertices of the current
 // cluster still lie inside subtree(v, p); siblings attaching at an inside
-// boundary contribute their whole contents.
-Weight TopologyTree::subtree_sum(Vertex v, Vertex p) const {
-  assert(has_edge(v, p));
+// boundary contribute their whole contents. The LCA merge is across the
+// (v, p) edge itself, so p's side is never taken.
+TopologyTree::SubtreeAgg TopologyTree::subtree_agg(Vertex v, Vertex p,
+                                                   const char* query) const {
+  if (!has_edge(v, p)) bad_query(query, v, p, "not a forest edge");
   uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
-  uint32_t cv = 0, cp = 0;
-  // Identify the LCA children on each side (cheap climbs).
-  {
-    uint32_t c = leaf_id(v);
-    while (clusters_[c].parent != lca) c = clusters_[c].parent;
-    cv = c;
-    c = leaf_id(p);
-    while (clusters_[c].parent != lca) c = clusters_[c].parent;
-    cp = c;
-  }
-  (void)cp;
-  const Cluster& V = clusters_[cv];
-  Weight acc = V.sub_sum;
+  uint32_t x = leaf_id(v);
+  while (clusters_[x].parent != lca) x = clusters_[x].parent;
+  const Cluster& V = clusters_[x];
+  SubtreeAgg acc{V.sub_sum, V.n_verts};
   // in[i]: is boundary bv[i] of the current cluster inside subtree(v, p)?
   bool in[2] = {false, false};
   for (int i = 0; i < 2; ++i)
     if (V.bv[i] != kNoVertex) in[i] = true;  // all of V is inside
-  uint32_t x = cv;
-  bool first_step = true;  // the LCA merge is across the (v,p) edge itself
-  while (clusters_[x].parent != 0) {
-    uint32_t pid = clusters_[x].parent;
-    const Cluster& pc = clusters_[pid];
-    const Cluster& xc = clusters_[x];
-    bool nin[2] = {false, false};
-    if (pc.children.size() == 1) {
-      for (int i = 0; i < 2; ++i) {
-        if (pc.bv[i] == kNoVertex) continue;
-        int j = boundary_slot(xc, pc.bv[i]);
-        assert(j >= 0);
-        nin[i] = in[j];
-      }
-    } else {
-      bool xfirst = (pc.children[0] == x);
-      uint32_t sib = xfirst ? pc.children[1] : pc.children[0];
-      Vertex xe = xfirst ? pc.merge_u : pc.merge_v;
-      const Cluster& sc = clusters_[sib];
-      int jx = boundary_slot(xc, xe);
-      bool sib_inside = !first_step && jx >= 0 && in[jx];
-      if (sib_inside) acc += sc.sub_sum;
-      for (int i = 0; i < 2; ++i) {
-        Vertex q = pc.bv[i];
-        if (q == kNoVertex) continue;
-        int j = boundary_slot(xc, q);
-        if (j >= 0)
-          nin[i] = in[j];
-        else
-          nin[i] = sib_inside;
-      }
-    }
-    in[0] = nin[0];
-    in[1] = nin[1];
-    x = pid;
-    first_step = false;
-  }
-  return acc;
-}
-
-size_t TopologyTree::subtree_size(Vertex v, Vertex p) const {
-  // Same walk as subtree_sum but counting vertices. (Kept separate for
-  // clarity; both are O(height).)
-  assert(has_edge(v, p));
-  uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
-  uint32_t cv = leaf_id(v);
-  while (clusters_[cv].parent != lca) cv = clusters_[cv].parent;
-  const Cluster& V = clusters_[cv];
-  size_t acc = V.n_verts;
-  bool in[2] = {false, false};
-  for (int i = 0; i < 2; ++i)
-    if (V.bv[i] != kNoVertex) in[i] = true;
-  uint32_t x = cv;
   bool first_step = true;
   while (clusters_[x].parent != 0) {
     uint32_t pid = clusters_[x].parent;
@@ -235,12 +162,13 @@ size_t TopologyTree::subtree_size(Vertex v, Vertex p) const {
       }
     } else {
       bool xfirst = (pc.children[0] == x);
-      uint32_t sib = xfirst ? pc.children[1] : pc.children[0];
-      Vertex xe = xfirst ? pc.merge_u : pc.merge_v;
-      const Cluster& sc = clusters_[sib];
-      int jx = boundary_slot(xc, xe);
+      const Cluster& sc = clusters_[pc.children[xfirst ? 1 : 0]];
+      int jx = boundary_slot(xc, xfirst ? pc.merge_u : pc.merge_v);
       bool sib_inside = !first_step && jx >= 0 && in[jx];
-      if (sib_inside) acc += sc.n_verts;
+      if (sib_inside) {
+        acc.sum += sc.sub_sum;
+        acc.size += sc.n_verts;
+      }
       for (int i = 0; i < 2; ++i) {
         Vertex q = pc.bv[i];
         if (q == kNoVertex) continue;
@@ -256,9 +184,13 @@ size_t TopologyTree::subtree_size(Vertex v, Vertex p) const {
   return acc;
 }
 
-namespace {
-// Recursion state for path selection: vertex at hop k on the path.
-}  // namespace
+Weight TopologyTree::subtree_sum(Vertex v, Vertex p) const {
+  return subtree_agg(v, p, "subtree_sum").sum;
+}
+
+size_t TopologyTree::subtree_size(Vertex v, Vertex p) const {
+  return subtree_agg(v, p, "subtree_size").size;
+}
 
 // Returns the vertex at hop distance k from `from` on the path from `from`
 // to `to` (0 <= k <= path_length). O(log^2 n): one O(log) distance query per
@@ -313,7 +245,10 @@ static Vertex path_select(const TopologyTree& t, Vertex from, Vertex to,
 // side, b on v's side. Both lie on the u--v path.
 void TopologyTree::path_milestone(Vertex u, Vertex v, Vertex* a,
                                   Vertex* b) const {
+  if (u == v) bad_query("path_milestone", u, v, "empty path");
   uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
+  if (lca == 0)
+    bad_query("path_milestone", u, v, "vertices in different trees");
   const Cluster& L = clusters_[lca];
   assert(L.children.size() == 2);
   uint32_t cu = leaf_id(u);
@@ -331,48 +266,23 @@ int64_t TopologyTree::component_diameter(Vertex v) const {
   return clusters_[tree_root(v)].diam;
 }
 
+// One representative-path climb to the root: at each pair merge the
+// visitor scores the sibling by its nearest mark from the merge edge.
 int64_t TopologyTree::nearest_marked_distance(Vertex v) const {
   int64_t best = marked_[v] ? 0 : kInf;
-  uint32_t c = leaf_id(v);
-  int64_t len[2] = {0, 0};  // hop distance from v to current boundary slots
-  while (clusters_[c].parent != 0) {
-    uint32_t pid = clusters_[c].parent;
-    const Cluster& pc = clusters_[pid];
-    const Cluster& cc = clusters_[c];
-    int64_t nlen[2] = {0, 0};
-    if (pc.children.size() == 2) {
-      bool first = (pc.children[0] == c);
-      uint32_t sib = first ? pc.children[1] : pc.children[0];
-      Vertex xe = first ? pc.merge_u : pc.merge_v;
-      Vertex se = first ? pc.merge_v : pc.merge_u;
-      const Cluster& sc = clusters_[sib];
-      int jx = boundary_slot(cc, xe);
-      int js = boundary_slot(sc, se);
-      assert(jx >= 0 && js >= 0);
-      if (sc.marked_dist[js] < kInf)
-        best = std::min(best, len[jx] + 1 + sc.marked_dist[js]);
-      for (int i = 0; i < 2; ++i) {
-        Vertex q = pc.bv[i];
-        if (q == kNoVertex) continue;
-        int j = boundary_slot(cc, q);
-        if (j >= 0) {
-          nlen[i] = len[j];
-        } else {
-          nlen[i] = len[jx] + 1 + (q == se ? 0 : sc.path_len);
-        }
-      }
-    } else {
-      for (int i = 0; i < 2; ++i) {
-        if (pc.bv[i] == kNoVertex) continue;
-        int j = boundary_slot(cc, pc.bv[i]);
-        assert(j >= 0);
-        nlen[i] = len[j];
-      }
-    }
-    len[0] = nlen[0];
-    len[1] = nlen[1];
-    c = pid;
-  }
+  auto visit = [&](uint32_t c, uint32_t p, const RepPath& rp) {
+    const Cluster& pc = clusters_[p];
+    if (pc.children.size() != 2) return;
+    bool first = (pc.children[0] == c);
+    const Cluster& sc = clusters_[pc.children[first ? 1 : 0]];
+    int jx = boundary_slot(clusters_[c], first ? pc.merge_u : pc.merge_v);
+    int js = boundary_slot(sc, first ? pc.merge_v : pc.merge_u);
+    assert(jx >= 0 && js >= 0);
+    if (sc.marked_dist[js] < kInf)
+      best = std::min(best, rp.len[jx] + 1 + sc.marked_dist[js]);
+  };
+  uint32_t root = 0;
+  climb_rep_path(v, 0, &root, visit);
   return best >= kInf ? -1 : best;
 }
 

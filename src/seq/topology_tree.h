@@ -51,14 +51,21 @@ class TopologyTree {
 
   // --- Queries ------------------------------------------------------------
   bool connected(Vertex u, Vertex v) const;
+  // Path queries over edge weights; path_length counts hops. u and v must
+  // be connected (else: message and abort, every build type). u == v is
+  // the empty path: sum 0, length 0, and path_max returns
+  // std::numeric_limits<Weight>::min(), as RefForest does.
   Weight path_sum(Vertex u, Vertex v) const;
   Weight path_max(Vertex u, Vertex v) const;
-  int64_t path_length(Vertex u, Vertex v) const;  // sum of edge weights... hop count
+  int64_t path_length(Vertex u, Vertex v) const;
+  // Vertex-weight sum / vertex count of v's side of the tree rooted so that
+  // p is v's parent. (v, p) must be a forest edge (else: message and abort).
   Weight subtree_sum(Vertex v, Vertex p) const;
   size_t subtree_size(Vertex v, Vertex p) const;
   Vertex lca(Vertex u, Vertex v, Vertex r) const;
   // The merge edge (a, b) of the LCA cluster of u and v: a on u's side,
   // b on v's side; both lie on the u--v path. Used by path selection.
+  // u != v, connected (else: message and abort).
   void path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const;
   int64_t component_diameter(Vertex v) const;
   Vertex component_center(Vertex v) const;
@@ -144,18 +151,35 @@ class TopologyTree {
   void add_root(uint32_t c);
 
   // --- query helpers ---
+  struct PathAgg {  // f over one path: edge-weight sum and max, hop count
+    Weight sum = 0;
+    Weight max = kNegInf;
+    int64_t len = 0;
+  };
   struct RepPath {  // value of f over path from the query vertex to bv[i]
     Weight sum[2] = {0, 0};
     Weight max[2] = {kNegInf, kNegInf};
     int64_t len[2] = {0, 0};
   };
-  // Climb from leaf `from` up to (excluding) cluster `stop`, maintaining
-  // representative paths; returns values keyed by the boundary slots of the
-  // child of `stop` on `from`'s side, along with that child id.
-  RepPath climb_rep_path(Vertex from, uint32_t stop, uint32_t* child) const;
-  bool is_ancestor(uint32_t anc, uint32_t leaf) const;
+  struct SubtreeAgg {  // vertex-weight sum and vertex count
+    Weight sum = 0;
+    size_t size = 0;
+  };
+  // Climb from leaf `from` up to (excluding) cluster `stop` (0 = to the
+  // root), maintaining representative paths. Before each step from c into
+  // its parent p, calls visit(c, p, rp) with rp keyed by c's boundary
+  // slots. Returns values keyed by the boundary slots of the topmost
+  // cluster reached, along with that cluster's id.
+  template <class Visit>
+  RepPath climb_rep_path(Vertex from, uint32_t stop, uint32_t* child,
+                         Visit&& visit) const;
+  // Lowest common ancestor cluster; 0 if a and b lie in different trees.
   uint32_t lca_cluster(uint32_t a, uint32_t b) const;
   int boundary_slot(const Cluster& c, Vertex bv) const;
+  // The one walk per query family; each aborts naming `query` when the
+  // public query's precondition fails.
+  PathAgg path_agg(Vertex u, Vertex v, const char* query) const;
+  SubtreeAgg subtree_agg(Vertex v, Vertex p, const char* query) const;
 
   size_t n_;
   std::vector<Cluster> clusters_;

@@ -3,6 +3,10 @@
 // query UFO trees claim in Table 1 is checked against the oracle at every
 // alpha (high diameter at alpha = 0 down to near-star at alpha = 2+), so
 // the correctness of the benchmarked configurations is itself under test.
+// The sweep runs on seq::UfoTree (single links and cuts) and on
+// par::UfoTree (batch_link / batch_cut, so the bulk rake-index paths shape
+// the hierarchy). The last suite pins the query preconditions: the empty
+// path, and the named aborts on disconnected endpoints and non-edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +15,7 @@
 
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
+#include "parallel/par_ufo_tree.h"
 #include "seq/ternarize.h"
 #include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
@@ -31,20 +36,26 @@ std::vector<AlphaCase> alpha_cases() {
   return cases;
 }
 
-class UfoZipfQuerySweep : public ::testing::TestWithParam<AlphaCase> {};
+// Links (batched: one batch_link) the edges into t and ref.
+template <class Tree>
+void link_all(Tree& t, RefForest& ref, const EdgeList& edges, bool batched) {
+  for (const Edge& e : edges) {
+    if (!batched) t.link(e.u, e.v, e.w);
+    ref.link(e.u, e.v, e.w);
+  }
+  if (batched) t.batch_link(edges);
+}
 
-TEST_P(UfoZipfQuerySweep, AllQueriesMatchOracleUnderChurn) {
+// Every query against the oracle on one Zipf tree, before and after churn.
+template <class Tree>
+void zipf_sweep(const AlphaCase& ac, bool batched) {
   constexpr size_t n = 140;
-  const AlphaCase& ac = GetParam();
   EdgeList edges = gen::zipf_tree(n, ac.alpha, 1717);
-  UfoTree t(n);
+  Tree t(n);
   RefForest ref(n);
   util::SplitMix64 rng(55);
-  for (const Edge& e : edges) {
-    Weight w = static_cast<Weight>(1 + rng.next(40));
-    t.link(e.u, e.v, w);
-    ref.link(e.u, e.v, w);
-  }
+  for (Edge& e : edges) e.w = static_cast<Weight>(1 + rng.next(40));
+  link_all(t, ref, edges, batched);
   for (Vertex v = 0; v < n; ++v) {
     Weight w = static_cast<Weight>(1 + rng.next(9));
     t.set_vertex_weight(v, w);
@@ -121,19 +132,33 @@ TEST_P(UfoZipfQuerySweep, AllQueriesMatchOracleUnderChurn) {
   // relink, re-audit.
   EdgeList removed(edges.begin(), edges.begin() + edges.size() / 4);
   for (const Edge& e : removed) {
-    t.cut(e.u, e.v);
+    if (!batched) t.cut(e.u, e.v);
     ref.cut(e.u, e.v);
   }
+  if (batched) t.batch_cut(removed);
   audit("after cuts");
-  for (const Edge& e : removed) {
-    Weight w = static_cast<Weight>(1 + rng.next(40));
-    t.link(e.u, e.v, w);
-    ref.link(e.u, e.v, w);
-  }
+  for (Edge& e : removed) e.w = static_cast<Weight>(1 + rng.next(40));
+  link_all(t, ref, removed, batched);
   audit("after relinks");
 }
 
+class UfoZipfQuerySweep : public ::testing::TestWithParam<AlphaCase> {};
+
+TEST_P(UfoZipfQuerySweep, AllQueriesMatchOracleUnderChurn) {
+  zipf_sweep<UfoTree>(GetParam(), /*batched=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(Alphas, UfoZipfQuerySweep,
+                         ::testing::ValuesIn(alpha_cases()),
+                         [](const auto& info) { return info.param.name; });
+
+class ParUfoZipfQuerySweep : public ::testing::TestWithParam<AlphaCase> {};
+
+TEST_P(ParUfoZipfQuerySweep, AllQueriesMatchOracleUnderBatchChurn) {
+  zipf_sweep<par::UfoTree>(GetParam(), /*batched=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Alphas, ParUfoZipfQuerySweep,
                          ::testing::ValuesIn(alpha_cases()),
                          [](const auto& info) { return info.param.name; });
 
@@ -167,6 +192,64 @@ TEST_P(TopologyZipfQuerySweep, PathAndSubtreeMatchOracleTernarized) {
 INSTANTIATE_TEST_SUITE_P(Alphas, TopologyZipfQuerySweep,
                          ::testing::ValuesIn(alpha_cases()),
                          [](const auto& info) { return info.param.name; });
+
+// Two trees, 0-1-2-3 (with a degree-3 vertex 1 via 1-4) and 5-6-7, on every
+// structure whose path and subtree queries share one walk per family.
+template <class Tree>
+class QueryPreconditions : public ::testing::Test {
+ protected:
+  static constexpr size_t kN = 8;
+  QueryPreconditions() : t(kN), ref(kN) {
+    for (Edge e : {Edge{0, 1, 5}, Edge{1, 2, 7}, Edge{2, 3, 2}, Edge{1, 4, 9},
+                   Edge{5, 6, 3}, Edge{6, 7, 4}}) {
+      t.link(e.u, e.v, e.w);
+      ref.link(e.u, e.v, e.w);
+    }
+  }
+  Tree t;
+  RefForest ref;
+};
+
+using PreconditionTrees =
+    ::testing::Types<UfoTree, par::UfoTree, TopologyTree>;
+TYPED_TEST_SUITE(QueryPreconditions, PreconditionTrees);
+
+TYPED_TEST(QueryPreconditions, EmptyPathMatchesOracle) {
+  for (Vertex u = 0; u < this->kN; ++u) {
+    EXPECT_EQ(this->t.path_sum(u, u), this->ref.path_sum(u, u)) << u;
+    EXPECT_EQ(this->t.path_max(u, u), this->ref.path_max(u, u)) << u;
+    EXPECT_EQ(this->t.path_length(u, u),
+              static_cast<int64_t>(this->ref.path_length(u, u)))
+        << u;
+  }
+}
+
+TYPED_TEST(QueryPreconditions, DisconnectedPathQueriesAbortByName) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(this->t.path_sum(0, 6),
+               "path_sum\\(0, 6\\).*different trees");
+  EXPECT_DEATH(this->t.path_max(7, 3),
+               "path_max\\(7, 3\\).*different trees");
+  EXPECT_DEATH(this->t.path_length(4, 5),
+               "path_length\\(4, 5\\).*different trees");
+  Vertex a = kNoVertex, b = kNoVertex;
+  EXPECT_DEATH(this->t.path_milestone(0, 6, &a, &b),
+               "path_milestone\\(0, 6\\).*different trees");
+  EXPECT_DEATH(this->t.path_milestone(2, 2, &a, &b),
+               "path_milestone\\(2, 2\\).*empty path");
+  EXPECT_EQ(this->t.path_sum(0, 3), this->ref.path_sum(0, 3));
+}
+
+TYPED_TEST(QueryPreconditions, NonEdgeSubtreeQueriesAbortByName) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(this->t.subtree_sum(0, 2),
+               "subtree_sum\\(0, 2\\).*not a forest edge");
+  EXPECT_DEATH(this->t.subtree_size(0, 6),
+               "subtree_size\\(0, 6\\).*not a forest edge");
+  EXPECT_DEATH(this->t.subtree_sum(3, 3), "subtree_sum\\(3, 3\\)");
+  EXPECT_EQ(this->t.subtree_sum(1, 2), this->ref.subtree_sum(1, 2));
+  EXPECT_EQ(this->t.subtree_size(1, 2), this->ref.subtree_size(1, 2));
+}
 
 }  // namespace
 }  // namespace ufo::seq
