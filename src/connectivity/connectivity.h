@@ -39,6 +39,13 @@
 // Backend::batch_link. With one cut this is HDT's rule: scan the smaller
 // side, stop at the first replacement.
 //
+// Determinism: connectivity answers (connected, num_components) do not
+// depend on thread timing. The spanning forest does at more than one
+// worker: which of a piece's vertices get scanned before its early-stop
+// flag is set depends on timing, so the promoted replacement edges, and
+// with them forest() path queries and anything computed from the forest,
+// can differ run to run. At one worker every run agrees.
+//
 // Costs: insert/erase of a non-tree edge O(1) expected beyond the
 // connectivity query; a cut batch costs the backend cut plus O(sum of the
 // non-largest piece sizes and their non-tree degrees + k * height) for the

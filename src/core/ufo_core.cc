@@ -1139,16 +1139,21 @@ UfoCore::SubtreeAgg UfoCore::subtree_agg(Vertex v, Vertex p,
       if (x == ph.center_child) {
         // The rakes attach at the center vertex, x's bv[0].
         inside = in[0];
-        if (inside)
-          for (uint32_t s : children(pid))
-            if (s != x && !(first && s == cp)) take(s);
       } else {
         // x is a rake; crossing its edge reaches the rest of the tree.
         int j = boundary_slot(xd, nbrs(x)[0].my_end);
         inside = j >= 0 && in[j] && !first;
-        if (inside)
-          for (uint32_t s : children(pid))
-            if (s != x) take(s);
+      }
+      if (inside) {
+        // Every other child is inside (but p's side at the first step, which
+        // only the center branch can reach): take pid's totals minus x's,
+        // O(1) however many rakes pid has.
+        acc.sum += pd.sub_sum - xd.sub_sum;
+        acc.size += sizes_[pid].n_verts - sizes_[x].n_verts;
+        if (first) {
+          acc.sum -= cold_[cp].sub_sum;
+          acc.size -= sizes_[cp].n_verts;
+        }
       }
       for (int i = 0; i < 2; ++i)
         if (pd.bv[i] != kNoVertex) nin[i] = inside;

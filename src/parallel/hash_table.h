@@ -285,17 +285,16 @@ using ConcurrentSet = ConcurrentTable<void>;
 using ConcurrentMap = ConcurrentTable<int64_t>;
 
 // Per-slot ownership claims for phase-concurrent algorithms: many tasks race
-// to claim the same dense id (a cluster, a teardown walk target, a graph
-// vertex) and exactly one wins the CAS and performs the work; a loser drops
-// its duplicate request, relying on the winner's effect (the claimed cluster
-// re-enters the shared frontier) to serve it. Slots are epoch-tagged so a new
+// to claim the same dense id (such as a graph vertex) and exactly one
+// wins the CAS and performs the work; a loser drops its duplicate request
+// and reads the winner with owner_of(). Slots are epoch-tagged so a new
 // phase invalidates every previous claim in O(1) — no O(n) clear between
 // batches, which matters when a small batch touches a huge structure.
 class ClaimTable {
  public:
   // owner_of() result when nobody claimed the id this phase. Owners must be
-  // < kUnclaimed (the replacement search uses piece indexes, the teardown
-  // walk uses cluster ids — both dense and well below 2^32 - 1).
+  // < kUnclaimed (the replacement search uses piece indexes, dense and
+  // well below 2^32 - 1).
   static constexpr uint32_t kUnclaimed = 0xffffffffu;
 
   // Single-threaded phase boundary: make ids [0, n) claimable and retire

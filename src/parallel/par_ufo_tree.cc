@@ -106,26 +106,38 @@ void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
       b = hot_[b].parent;
     }
   });
-  auto groups = group_by_key(flat);
+  apply_adjacency(flat, insert);
+}
+
+// One task per touched cluster owns all of its adjacency writes: inserts
+// append, erases compact the list once against the sorted targets (so k
+// erasures against one high-degree cluster cost O(degree + k)).
+std::vector<uint32_t> UfoTree::apply_adjacency(
+    std::vector<std::pair<uint32_t, Adj>>& ops, bool insert) {
+  auto groups = group_by_key(ops);
   parallel_for(0, groups.size(), [&](size_t g) {
     auto [begin, end] = groups[g];
-    uint32_t c = flat[begin].first;
+    uint32_t c = ops[begin].first;
     if (insert) {
       nbrs_reserve(c, hot_[c].nbrs.size + static_cast<uint32_t>(end - begin));
       for (size_t i = begin; i < end; ++i) {
-        assert(!adj_contains(c, flat[i].second.nbr) &&
-               "batch inserts a present edge");
-        nbrs_push(c, flat[i].second);
+        assert(!adj_contains(c, ops[i].second.nbr) &&
+               "adjacency entry already present");
+        nbrs_push(c, ops[i].second);
       }
     } else {
       std::vector<uint32_t> targets(end - begin);
       for (size_t i = begin; i < end; ++i)
-        targets[i - begin] = flat[i].second.nbr;
+        targets[i - begin] = ops[i].second.nbr;
       std::sort(targets.begin(), targets.end());
       adj_remove_batch(c, targets);
     }
   });
-  for (const auto& [begin, end] : groups) dirty_.push_back(flat[begin].first);
+  std::vector<uint32_t> touched(groups.size());
+  for (size_t g = 0; g < groups.size(); ++g)
+    touched[g] = ops[groups[g].first].first;
+  dirty_.insert(dirty_.end(), touched.begin(), touched.end());
+  return touched;
 }
 
 // Level-synchronous concurrent DeleteAncestors (Algorithm 1 run one level
@@ -137,9 +149,11 @@ void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
 // parents shed their low-degree walk children and stay. The walk child of a
 // survivor stays attached only when its degree is >= 3 — which is also what
 // keeps the surviving chains usable for insert propagation.
-void UfoTree::teardown_pass(std::vector<Token> toks) {
+void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
   UFO_SPAN("par.teardown");
-  UFO_STAT("par.teardown.walks", toks.size());
+  UFO_STAT("par.teardown.walks", starts.size());
+  std::vector<Token> toks =
+      map(starts.size(), [&](size_t i) { return Token{starts[i], false}; });
   while (!toks.empty()) {
     UFO_STAT("par.teardown.rounds", 1);
     ensure_scratch();
@@ -270,26 +284,13 @@ void UfoTree::teardown_pass(std::vector<Token> toks) {
 
     // Remove this round's doomed clusters from their surviving neighbors'
     // adjacency (grouped by survivor so each list has one owner).
-    std::vector<std::pair<uint32_t, uint32_t>> cleanup;
+    std::vector<std::pair<uint32_t, Adj>> cleanup;
     for (uint32_t d : newly_doomed) {
       for (const Adj& a : nbrs(d))
-        if (!doomed_[a.nbr]) cleanup.emplace_back(a.nbr, d);
+        if (!doomed_[a.nbr]) cleanup.emplace_back(a.nbr, Adj{d});
     }
-    if (!cleanup.empty()) {
-      auto cgroups = group_by_key(cleanup);
-      parallel_for(0, cgroups.size(), [&](size_t g) {
-        auto [begin, end] = cgroups[g];
-        std::vector<uint32_t> targets(end - begin);
-        for (size_t i = begin; i < end; ++i)
-          targets[i - begin] = cleanup[i].second;
-        std::sort(targets.begin(), targets.end());
-        adj_remove_batch(cleanup[begin].first, targets);
-      });
-      for (const auto& [begin, end] : cgroups) {
-        dirty_.push_back(cleanup[begin].first);
-        revalidate_.push_back(cleanup[begin].first);  // degree dropped
-      }
-    }
+    std::vector<uint32_t> dropped = apply_adjacency(cleanup, /*insert=*/false);
+    revalidate_.insert(revalidate_.end(), dropped.begin(), dropped.end());
     toks = std::move(next);
   }
 }
@@ -306,6 +307,25 @@ void UfoTree::force_detach(uint32_t c) {
   dirty_.push_back(p);
 }
 
+bool UfoTree::detach(const std::vector<DetachRequests>& requests) {
+  std::vector<uint32_t> walk, forced;
+  for (const DetachRequests& r : requests) {
+    walk.insert(walk.end(), r.walk.begin(), r.walk.end());
+    forced.insert(forced.end(), r.forced.begin(), r.forced.end());
+  }
+  if (walk.empty() && forced.empty()) return false;
+  auto attached = [&](uint32_t c) {
+    return alive(c) && !doomed_[c] && hot_[c].parent != 0;
+  };
+  remove_duplicates(forced);
+  for (uint32_t c : forced)
+    if (attached(c)) force_detach(c);
+  remove_duplicates(walk);
+  walk = filter(walk, attached);
+  if (!walk.empty()) teardown_pass(walk);
+  return true;
+}
+
 void UfoTree::drain_revalidate() {
   while (!revalidate_.empty()) {
     std::vector<uint32_t> check = std::move(revalidate_);
@@ -317,10 +337,8 @@ void UfoTree::drain_revalidate() {
     // the guarded teardown; a high-degree cluster whose rake role broke is
     // detached directly. Parentless clusters are skipped — the frontier
     // round that picks them up enforces maximality itself.
-    std::vector<uint32_t> walk_targets;
-    std::vector<uint32_t> forced;
-    auto lists = map(check.size(), [&](size_t i) {
-      std::pair<std::vector<uint32_t>, std::vector<uint32_t>> out;
+    auto requests = map(check.size(), [&](size_t i) {
+      DetachRequests out;
       uint32_t q = check[i];
       const Hot& qh = hot_[q];
       if (qh.parent == 0) return out;
@@ -328,41 +346,20 @@ void UfoTree::drain_revalidate() {
         for (const Adj& a : nbrs(q)) {
           const Hot& wh = hot_[a.nbr];
           if (wh.nbrs.size == 1 && wh.parent != 0 && wh.parent != qh.parent)
-            out.first.push_back(a.nbr);  // must be raked beside q
+            out.walk.push_back(a.nbr);  // must be raked beside q
         }
         const Hot& pq = hot_[qh.parent];
         if (pq.center_child != 0 && pq.center_child != q)
-          out.second.push_back(q);  // a rake must have degree 1
+          out.forced.push_back(q);  // a rake must have degree 1
       } else if (qh.nbrs.size == 1) {
         uint32_t z = nbrs(q)[0].nbr;
         const Hot& zh = hot_[z];
         if (zh.nbrs.size >= 3 && zh.parent != 0 && zh.parent != qh.parent)
-          out.first.push_back(q);  // must be raked beside z
+          out.walk.push_back(q);  // must be raked beside z
       }
       return out;
     });
-    for (auto& l : lists) {
-      walk_targets.insert(walk_targets.end(), l.first.begin(),
-                          l.first.end());
-      forced.insert(forced.end(), l.second.begin(), l.second.end());
-    }
-    if (walk_targets.empty() && forced.empty()) break;
-    remove_duplicates(forced);
-    for (uint32_t c : forced)
-      if (hot_[c].parent != 0) force_detach(c);
-    remove_duplicates(walk_targets);
-    walk_targets = filter(walk_targets, [&](uint32_t c) {
-      return alive(c) && !doomed_[c] && hot_[c].parent != 0;
-    });
-    if (!walk_targets.empty()) {
-      claims_.begin_phase(pool_size());
-      walk_targets = filter(
-          walk_targets, [&](uint32_t y) { return claims_.claim(y, y); });
-      std::vector<Token> toks(walk_targets.size());
-      parallel_for(0, walk_targets.size(),
-                   [&](size_t i) { toks[i] = {walk_targets[i], false}; });
-      teardown_pass(std::move(toks));
-    }
+    if (!detach(requests)) break;
   }
 }
 
@@ -391,10 +388,7 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
       leaves[2 * i + 1] = leaf_id(batch[i].v);
     });
     remove_duplicates(leaves);
-    std::vector<Token> toks(leaves.size());
-    parallel_for(0, leaves.size(),
-                 [&](size_t i) { toks[i] = {leaves[i], false}; });
-    teardown_pass(std::move(toks));
+    teardown_pass(leaves);
     drain_revalidate();
   }
   // 3. Inserted edges join every level of the surviving chains.
@@ -437,23 +431,26 @@ void UfoTree::contract_frontier() {
   }
 }
 
-void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
-  UFO_STAT("par.recluster.rounds", 1);
-  ensure_scratch();
+// Everything entering a round gets fresh aggregates: shed survivors lost a
+// child, frontier leaves changed adjacency, and the previous round's new
+// parents get their first ones here (superunary parents above the bulk
+// threshold build their rake index with the parallel sorted-run
+// constructor).
+std::vector<uint32_t> UfoTree::admit(int32_t lvl, std::vector<uint32_t> raw) {
   remove_duplicates(raw);
-  std::vector<uint32_t> active = filter(raw, [&](uint32_t c) {
+  raw = filter(raw, [&](uint32_t c) {
     return alive(c) && !doomed_[c] && hot_[c].parent == 0 &&
            hot_[c].level == lvl;
   });
-  // Everything entering a round gets fresh aggregates: shed survivors lost
-  // a child, frontier leaves changed adjacency, and the previous round's
-  // new parents get their first ones here (superunary parents above the
-  // bulk threshold build their rake index with the parallel sorted-run
-  // constructor).
-  parallel_for(0, active.size(),
-               [&](size_t i) { recompute_aggregates(active[i]); });
-  active = filter(active,
-                  [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+  parallel_for(0, raw.size(),
+               [&](size_t i) { recompute_aggregates(raw[i]); });
+  return filter(raw, [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+}
+
+void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
+  UFO_STAT("par.recluster.rounds", 1);
+  ensure_scratch();
+  std::vector<uint32_t> active = admit(lvl, std::move(raw));
   if (active.empty()) return;  // completed tree roots only
 
   // Phase 1: detach fixpoint. Two obligations against the surviving
@@ -465,18 +462,17 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // that neighbor's parent, so a parent that cannot center the neighbor (a
   // pair merge whose child drifted to degree >= 3) has the neighbor
   // detached instead — it then re-enters this level as an active center.
-  // Walk requests are deduplicated with a per-cluster ownership CAS: the
-  // first claimer owns the walk, and any loser simply finds the target
-  // active (re-rooted at this level) in the next sweep.
+  // Each sweep's walk requests are deduplicated at the phase boundary; a
+  // detached target re-enters this level and is absorbed below.
   for (;;) {
-    auto lists = map(active.size(), [&](size_t i) {
-      std::pair<std::vector<uint32_t>, std::vector<uint32_t>> out;
+    auto requests = map(active.size(), [&](size_t i) {
+      DetachRequests out;
       uint32_t c = active[i];
       if (hot_[c].nbrs.size >= 3) {
         for (const Adj& a : nbrs(c)) {
           uint32_t y = a.nbr;
           if (hot_[y].parent != 0 && hot_[y].nbrs.size == 1)
-            out.first.push_back(y);
+            out.walk.push_back(y);
         }
       } else if (hot_[c].nbrs.size == 1) {
         uint32_t y = nbrs(c)[0].nbr;
@@ -485,45 +481,19 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
           bool can_center =
               pyh.center_child == y ||
               (pyh.center_child == 0 && pyh.children.size == 1);
-          if (!can_center) out.second.push_back(y);
+          if (!can_center) out.forced.push_back(y);
         }
       }
       return out;
     });
-    std::vector<uint32_t> targets;
-    std::vector<uint32_t> forced;
-    for (auto& l : lists) {
-      targets.insert(targets.end(), l.first.begin(), l.first.end());
-      forced.insert(forced.end(), l.second.begin(), l.second.end());
-    }
-    if (targets.empty() && forced.empty()) break;
-    remove_duplicates(forced);
-    for (uint32_t y : forced)
-      if (alive(y) && !doomed_[y] && hot_[y].parent != 0) force_detach(y);
-    if (!targets.empty()) {
-      claims_.begin_phase(pool_size());
-      targets = filter(targets,
-                       [&](uint32_t y) { return claims_.claim(y, y); });
-      std::vector<Token> toks(targets.size());
-      parallel_for(0, targets.size(),
-                   [&](size_t i) { toks[i] = {targets[i], false}; });
-      teardown_pass(std::move(toks));
-    }
+    if (!detach(requests)) break;
     // Absorb clusters the detaches re-rooted at this level.
     std::vector<uint32_t> fresh;
     if (static_cast<size_t>(lvl) < frontier_.size()) {
       fresh = std::move(frontier_[lvl]);
       frontier_[lvl].clear();
     }
-    remove_duplicates(fresh);
-    fresh = filter(fresh, [&](uint32_t c) {
-      return alive(c) && !doomed_[c] && hot_[c].parent == 0 &&
-             hot_[c].level == lvl;
-    });
-    parallel_for(0, fresh.size(),
-                 [&](size_t i) { recompute_aggregates(fresh[i]); });
-    fresh = filter(fresh,
-                   [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+    fresh = admit(lvl, std::move(fresh));
     if (fresh.empty()) break;  // targets were all shed without new roots
     active.insert(active.end(), fresh.begin(), fresh.end());
     remove_duplicates(active);
@@ -715,21 +685,8 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   });
   std::vector<std::pair<uint32_t, Adj>> flat;
   for (auto& r : recip) flat.insert(flat.end(), r.begin(), r.end());
-  if (!flat.empty()) {
-    auto rgroups = group_by_key(flat);
-    parallel_for(0, rgroups.size(), [&](size_t g) {
-      auto [begin, end] = rgroups[g];
-      uint32_t q = flat[begin].first;
-      for (size_t i = begin; i < end; ++i) {
-        assert(!adj_contains(q, flat[i].second.nbr));
-        nbrs_push(q, flat[i].second);
-      }
-    });
-    for (const auto& [begin, end] : rgroups) {
-      dirty_.push_back(flat[begin].first);
-      revalidate_.push_back(flat[begin].first);  // degree grew
-    }
-  }
+  std::vector<uint32_t> grown = apply_adjacency(flat, /*insert=*/true);
+  revalidate_.insert(revalidate_.end(), grown.begin(), grown.end());
 
   // Phase 5: the new parents recluster one level up (their aggregates are
   // computed when they enter that round), and survivors whose degree

@@ -28,12 +28,11 @@
 //      matching rounds. Frontier clusters interact with the *surviving*
 //      hierarchy: an active degree-1 cluster next to an attached
 //      high-degree neighbor rake-attaches into that neighbor's superunary
-//      parent (detach requests are deduplicated with a per-cluster
-//      ownership CAS — the winner runs the walk, losers rely on the target
-//      re-entering the frontier — and each parent's rake index is extended
-//      with one parallel sorted-run bulk merge); attached degree-1
-//      neighbors of active centers are detached by the same teardown
-//      machinery and raked in.
+//      parent (each parent's rake index is extended with one parallel
+//      sorted-run bulk merge); attached degree-1 neighbors of active
+//      centers are detached by the same teardown machinery and raked in.
+//      Detach requests are deduplicated at the phase boundary, so each
+//      target starts one walk however many tasks asked for it.
 //   5. A final level-synchronous flush recomputes the aggregates of every
 //      surviving ancestor bottom-up, refreshing cached rake contributions
 //      in superunary parents along the way.
@@ -45,20 +44,21 @@
 // latency caveat. Large batches keep the level-synchronous sharing that
 // made the old backend fast on path/pref-attach inputs.
 //
-// Determinism: results (query answers) are deterministic; the concrete
-// cluster ids/shape may vary run to run with thread interleaving, since
-// phase-concurrent set iteration order feeds the contraction. All
+// Determinism: query answers depend only on the update sequence; the
+// concrete cluster ids/shape may vary run to run with thread interleaving,
+// since phase-concurrent set iteration order feeds the contraction. All
 // structural invariants hold regardless (tests run check_valid /
-// check_aggregates at 1, 2, and max workers).
+// check_aggregates at 1, 2, and max workers). GraphConnectivity's own
+// update sequence depends on thread timing (see connectivity.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/ufo_core.h"
 #include "graph/forest.h"
-#include "parallel/hash_table.h"
 
 namespace ufo::par {
 
@@ -104,17 +104,29 @@ class UfoTree : public core::UfoCore {
   void set_role(uint32_t c, uint8_t role);
   uint8_t role_of(uint32_t c) const;
 
+  // One task's requests to detach clusters by teardown walk or by force.
+  struct DetachRequests {
+    std::vector<uint32_t> walk;
+    std::vector<uint32_t> forced;
+  };
+
   // Apply the batch's edge updates at every level of the endpoint chains
   // (deletions walk the intact pre-teardown chains; insertions the
-  // surviving post-teardown chains). Ops are grouped per cluster so all
-  // adjacency writes are owned by one task.
+  // surviving post-teardown chains).
   void edge_level_ops(const std::vector<Update>& ops, bool insert);
-  // Level-synchronous concurrent DeleteAncestors: processes walk tokens one
-  // level per round, merging converging walks on their shared parent (the
-  // walks only ever ascend, so tokens at mixed levels compose). Detached
-  // clusters are re-rooted into frontier_ by level; doomed clusters are
-  // flagged and recycled at the end of the batch.
-  void teardown_pass(std::vector<Token> tokens);
+  // The one grouped adjacency edit: sorts (cluster, entry) ops by cluster
+  // and gives each cluster's group to one task, which appends the entries
+  // (insert) or removes the entries' neighbors (erase). The touched
+  // clusters are added to dirty_ and returned.
+  std::vector<uint32_t> apply_adjacency(
+      std::vector<std::pair<uint32_t, Adj>>& ops, bool insert);
+  // Level-synchronous concurrent DeleteAncestors from the start clusters:
+  // processes walk tokens one level per round, merging converging walks on
+  // their shared parent (the walks only ever ascend, so tokens at mixed
+  // levels compose). Detached clusters are re-rooted into frontier_ by
+  // level; doomed clusters are flagged and recycled at the end of the
+  // batch. The starts must be distinct.
+  void teardown_pass(const std::vector<uint32_t>& starts);
   void root_into_frontier(uint32_t c);
   // Detach c from its surviving parent (no survival-guard walk: used when
   // c's role under that parent is structurally broken) and re-root it.
@@ -128,9 +140,18 @@ class UfoTree : public core::UfoCore {
   // re-enter the frontier, which restores maximality when their level
   // re-contracts. The parallel analogue of seq::UfoTree::repair.
   void drain_revalidate();
+  // The one detach step of both fixpoints (drain_revalidate and
+  // contract_round's Phase 1): dedupes the requests, force-detaches the
+  // forced clusters, and runs one teardown pass from the walk targets that
+  // are still attached. Returns false when no task requested anything.
+  bool detach(const std::vector<DetachRequests>& requests);
   // Recluster the per-level frontier bottom-up until empty.
   void contract_frontier();
   void contract_round(int32_t lvl, std::vector<uint32_t> raw);
+  // The clusters of raw that may contract at lvl this round: deduped, kept
+  // when alive, not doomed, parentless and at lvl, given fresh aggregates,
+  // and dropped when they have no edges (completed tree roots).
+  std::vector<uint32_t> admit(int32_t lvl, std::vector<uint32_t> raw);
   // Level-synchronous bottom-up aggregate refresh of every surviving
   // cluster touched by the batch (and their ancestors), refreshing cached
   // rake contributions in superunary parents on the way up.
@@ -144,7 +165,6 @@ class UfoTree : public core::UfoCore {
   std::vector<std::vector<uint32_t>> frontier_;  // parentless, per level
   std::vector<uint32_t> dirty_;      // survivors needing aggregate refresh
   std::vector<uint32_t> revalidate_;  // survivors whose adjacency changed
-  ClaimTable claims_;                // ownership CAS for detach/attach dedupe
   uint64_t round_salt_ = 0x243f6a8885a308d3ULL;  // pairing round seed
 };
 

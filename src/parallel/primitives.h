@@ -89,25 +89,10 @@ T scan_exclusive(std::vector<T>& v) {
   return total;
 }
 
-// Keep the elements whose flag is set, preserving order.
-template <class T, class Pred>
-std::vector<T> filter(const std::vector<T>& v, Pred&& pred) {
-  size_t n = v.size();
-  std::vector<size_t> keep(n);
-  parallel_for(0, n, [&](size_t i) { keep[i] = pred(v[i]) ? 1 : 0; });
-  size_t total = scan_exclusive(keep);
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](size_t i) {
-    bool last = (i + 1 == n);
-    size_t next = last ? total : keep[i + 1];
-    if (next != keep[i]) out[keep[i]] = v[i];
-  });
-  return out;
-}
-
-// filter() variant whose predicate sees the element *index* instead of the
-// value — used when the keep/drop decision lives in a parallel side array
-// (e.g. batch_erase's per-candidate kind codes) rather than in the element.
+// Keep the elements whose index satisfies pred, preserving order (the
+// pack: flags, exclusive scan, scatter). The predicate sees the element
+// *index*, so the keep/drop decision can live in a parallel side array
+// (e.g. batch_erase's per-candidate kind codes).
 template <class T, class Pred>
 std::vector<T> filter_index(const std::vector<T>& v, Pred&& pred) {
   size_t n = v.size();
@@ -121,6 +106,12 @@ std::vector<T> filter_index(const std::vector<T>& v, Pred&& pred) {
     if (next != keep[i]) out[keep[i]] = v[i];
   });
   return out;
+}
+
+// Keep the elements satisfying pred, preserving order.
+template <class T, class Pred>
+std::vector<T> filter(const std::vector<T>& v, Pred&& pred) {
+  return filter_index(v, [&](size_t i) { return pred(v[i]); });
 }
 
 // Stable parallel merge of two sorted runs into `out`. Splits the larger

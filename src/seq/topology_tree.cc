@@ -140,42 +140,32 @@ void TopologyTree::delete_ancestors(uint32_t c) {
 
 void TopologyTree::link(Vertex u, Vertex v, Weight w) {
   assert(u != v && !connected(u, v));
-  assert(degree(u) < 3 && degree(v) < 3 && "ternarize high-degree inputs");
-  uint32_t lu = leaf_id(u), lv = leaf_id(v);
-  delete_ancestors(lu);
-  delete_ancestors(lv);
-  clusters_[lu].nbrs.push_back({lv, u, v, w});
-  clusters_[lv].nbrs.push_back({lu, v, u, w});
-  refresh_leaf(lu);
-  refresh_leaf(lv);
-  recluster();
+  const Update up{u, v, w, false};
+  update({&up, 1});
 }
 
 void TopologyTree::cut(Vertex u, Vertex v) {
   assert(has_edge(u, v));
-  uint32_t lu = leaf_id(u), lv = leaf_id(v);
-  delete_ancestors(lu);
-  delete_ancestors(lv);
-  adj_remove(lu, lv);
-  adj_remove(lv, lu);
-  refresh_leaf(lu);
-  refresh_leaf(lv);
-  recluster();
+  const Update up{u, v, 0, true};
+  update({&up, 1});
 }
 
 void TopologyTree::batch_update(const std::vector<Update>& batch) {
-  std::vector<Vertex> endpoints;
-  endpoints.reserve(2 * batch.size());
+  update(batch);
+}
+
+void TopologyTree::update(std::span<const Update> batch) {
+  endpoints_.clear();
   for (const Update& up : batch) {
-    endpoints.push_back(up.u);
-    endpoints.push_back(up.v);
+    endpoints_.push_back(up.u);
+    endpoints_.push_back(up.v);
   }
-  std::sort(endpoints.begin(), endpoints.end());
-  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
-                  endpoints.end());
+  std::sort(endpoints_.begin(), endpoints_.end());
+  endpoints_.erase(std::unique(endpoints_.begin(), endpoints_.end()),
+                   endpoints_.end());
   // Topology trees delete every ancestor of every touched leaf, so edges
   // only need maintaining at level 0.
-  for (Vertex v : endpoints) delete_ancestors(leaf_id(v));
+  for (Vertex v : endpoints_) delete_ancestors(leaf_id(v));
   for (const Update& up : batch) {
     uint32_t lu = leaf_id(up.u), lv = leaf_id(up.v);
     if (up.is_delete) {
@@ -187,7 +177,7 @@ void TopologyTree::batch_update(const std::vector<Update>& batch) {
       assert(clusters_[lu].nbrs.size() <= 3 && clusters_[lv].nbrs.size() <= 3);
     }
   }
-  for (Vertex v : endpoints) refresh_leaf(leaf_id(v));
+  for (Vertex v : endpoints_) refresh_leaf(leaf_id(v));
   recluster();
 }
 

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/forest.h"
@@ -37,6 +38,8 @@ class TopologyTree {
 
   // --- Updates ------------------------------------------------------------
   // Endpoints must have degree < 3 before link (ternarize otherwise).
+  // Single updates are batches of one: they run the batch algorithm below
+  // on one stack-held Update.
   void link(Vertex u, Vertex v, Weight w = 1);
   void cut(Vertex u, Vertex v);
   // Batch-dynamic update (Section 5.1 / Algorithm 3 structure): applies a
@@ -140,6 +143,8 @@ class TopologyTree {
   uint32_t tree_root(Vertex v) const;
 
   // --- update machinery ---
+  // The one update routine behind link, cut and batch_update.
+  void update(std::span<const Update> batch);
   void delete_ancestors(uint32_t c);
   void recluster();
   void attach_to_existing_parent(uint32_t x, uint32_t y);
@@ -186,8 +191,10 @@ class TopologyTree {
   std::vector<uint32_t> free_;
   std::vector<Weight> vweight_;
   std::vector<uint8_t> marked_;
-  // Update-scoped scratch: root clusters per level.
+  // Update-scoped scratch: root clusters per level and the batch's
+  // distinct endpoints.
   std::vector<std::vector<uint32_t>> roots_;
+  std::vector<Vertex> endpoints_;
 };
 
 }  // namespace ufo::seq

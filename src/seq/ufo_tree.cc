@@ -192,94 +192,63 @@ void UfoTree::edge_walk(Vertex u, Vertex v, Weight w, bool insert) {
 
 void UfoTree::link(Vertex u, Vertex v, Weight w) {
   assert(u != v && !connected(u, v));
-  delete_ancestors(leaf_id(u));
-  delete_ancestors(leaf_id(v));
-  edge_walk(u, v, w, /*insert=*/true);
-  // Leaf aggregates (boundary slots in particular) must be current before
-  // reclustering reads them; higher-level survivors keep their boundary
-  // vertex and are refreshed at flush_dirty().
-  refresh_leaf(leaf_id(u));
-  refresh_leaf(leaf_id(v));
-  for (uint32_t c = hot_[leaf_id(u)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  for (uint32_t c = hot_[leaf_id(v)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  // The surviving top of each chain is parentless; with its degree changed
-  // by the new edge it must participate in reclustering (e.g. a preserved
-  // tree-root cluster that now has an edge to the other tree).
-  add_root(tree_root(u));
-  add_root(tree_root(v));
-  recluster();
-  flush_dirty();
+  const Update up{u, v, w, false};
+  update({&up, 1});
 }
 
 void UfoTree::cut(Vertex u, Vertex v) {
   assert(has_edge(u, v));
-  // Remove the edge at every level *before* deleting ancestors: the walk
-  // needs the intact parent chains to reach entries that earlier updates
-  // propagated above the chains' current common height. (The survival
-  // guards in delete_ancestors consequently see post-cut degrees, which
-  // also retires merges whose center degraded below degree 3.)
-  edge_walk(u, v, 0, /*insert=*/false);
-  delete_ancestors(leaf_id(u));
-  delete_ancestors(leaf_id(v));
-  refresh_leaf(leaf_id(u));
-  refresh_leaf(leaf_id(v));
-  for (uint32_t c = hot_[leaf_id(u)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  for (uint32_t c = hot_[leaf_id(v)].parent; c != 0;) {
-    uint32_t up = hot_[c].parent;
-    repair(c);
-    c = up;
-  }
-  add_root(tree_root(u));
-  add_root(tree_root(v));
-  recluster();
-  flush_dirty();
+  const Update up{u, v, 0, true};
+  update({&up, 1});
 }
 
 void UfoTree::batch_update(const std::vector<Update>& batch) {
+  update(batch);
+}
+
+void UfoTree::update(std::span<const Update> batch) {
   UFO_SPAN("seq.batch_update");
   UFO_STAT("seq.batch.count", 1);
   UFO_STAT("seq.batch.updates", batch.size());
-  // Phase 1: remove all deleted edges at every level (chains still intact).
+  // Phase 1: remove all deleted edges at every level *before* deleting
+  // ancestors: the walk needs the intact parent chains to reach entries
+  // that earlier updates propagated above the chains' current common
+  // height. (The survival guards in delete_ancestors consequently see
+  // post-cut degrees, which also retires merges whose center degraded
+  // below degree 3.)
   batch_deleting_ = true;
   for (const Update& up : batch)
     if (up.is_delete) edge_walk(up.u, up.v, 0, /*insert=*/false);
   batch_deleting_ = false;
   // Phase 2: one ancestor-deletion walk per distinct endpoint.
-  std::vector<Vertex> endpoints;
-  endpoints.reserve(2 * batch.size());
+  endpoints_.clear();
   for (const Update& up : batch) {
-    endpoints.push_back(up.u);
-    endpoints.push_back(up.v);
+    endpoints_.push_back(up.u);
+    endpoints_.push_back(up.v);
   }
-  std::sort(endpoints.begin(), endpoints.end());
-  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
-                  endpoints.end());
-  for (Vertex v : endpoints) delete_ancestors(leaf_id(v));
+  std::sort(endpoints_.begin(), endpoints_.end());
+  endpoints_.erase(std::unique(endpoints_.begin(), endpoints_.end()),
+                   endpoints_.end());
+  for (Vertex v : endpoints_) delete_ancestors(leaf_id(v));
   // Phase 3: insert new edges along the surviving chains.
   for (const Update& up : batch)
     if (!up.is_delete) edge_walk(up.u, up.v, up.w, /*insert=*/true);
-  // Phase 4: refresh leaves, repair drifted merges, root the chain tops.
-  for (Vertex v : endpoints) refresh_leaf(leaf_id(v));
-  for (Vertex v : endpoints) {
+  // Phase 4: leaf aggregates (boundary slots in particular) must be current
+  // before reclustering reads them; higher-level survivors keep their
+  // boundary vertex and are refreshed at flush_dirty(). Then repair drifted
+  // merges and root the chain tops: the surviving top of each chain is
+  // parentless, and with its degree changed it must participate in
+  // reclustering (e.g. a preserved tree-root cluster that now has an edge
+  // to the other tree).
+  for (Vertex v : endpoints_) refresh_leaf(leaf_id(v));
+  for (Vertex v : endpoints_) {
     for (uint32_t c = hot_[leaf_id(v)].parent; c != 0;) {
       uint32_t up = hot_[c].parent;
       repair(c);
       c = up;
     }
   }
-  for (Vertex v : endpoints) add_root(tree_root(v));
+  for (Vertex v : endpoints_) add_root(tree_root(v));
   // Phase 5: one shared level-synchronous reclustering.
   recluster();
   flush_dirty();

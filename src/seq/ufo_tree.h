@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/ufo_core.h"
@@ -36,6 +37,8 @@ class UfoTree : public core::UfoCore {
   explicit UfoTree(size_t n, core::Aggregates a = core::Aggregates::kAll);
 
   // --- Updates (any degree allowed) ----------------------------------------
+  // Single updates are batches of one: they run the batch algorithm below
+  // on one stack-held Update.
   void link(Vertex u, Vertex v, Weight w = 1);
   void cut(Vertex u, Vertex v);
   // Batch-dynamic update (Section 5.2 / Algorithm 4 structure): applies a
@@ -48,6 +51,8 @@ class UfoTree : public core::UfoCore {
   void batch_cut(const std::vector<Edge>& edges);
 
  private:
+  // The one update routine behind link, cut and batch_update.
+  void update(std::span<const Update> batch);
   void add_root(uint32_t c);
   void mark_dirty(uint32_t c);
 
@@ -73,8 +78,10 @@ class UfoTree : public core::UfoCore {
   void rebuild_adjacency(uint32_t p, std::vector<uint32_t>* touched);
   void flush_dirty();
 
+  // Update-scoped scratch.
   std::vector<std::vector<uint32_t>> roots_;
   std::vector<uint32_t> dirty_;
+  std::vector<Vertex> endpoints_;  // distinct endpoints of the batch
 };
 
 }  // namespace ufo::seq

@@ -5,12 +5,14 @@
 // the correctness of the benchmarked configurations is itself under test.
 // The sweep runs on seq::UfoTree (single links and cuts) and on
 // par::UfoTree (batch_link / batch_cut, so the bulk rake-index paths shape
-// the hierarchy). The last suite pins the query preconditions: the empty
+// the hierarchy). A star and a dandelion check every subtree query through
+// high-fanout hubs. The last suite pins the query preconditions: the empty
 // path, and the named aborts on disconnected endpoints and non-edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -192,6 +194,43 @@ TEST_P(TopologyZipfQuerySweep, PathAndSubtreeMatchOracleTernarized) {
 INSTANTIATE_TEST_SUITE_P(Alphas, TopologyZipfQuerySweep,
                          ::testing::ValuesIn(alpha_cases()),
                          [](const auto& info) { return info.param.name; });
+
+// Subtree queries through superunary clusters: a star and a dandelion of
+// 2^12 vertices (hubs of fanout ~n and ~n/2) with random vertex weights set
+// after linking, every edge in both orientations against the oracle. A hub
+// crossing reads the parent's totals minus the child's, so a stale rake
+// total or an off-by-one-side at the first step shows here.
+template <class Tree>
+void superunary_subtree_sweep(bool batched) {
+  constexpr size_t n = size_t{1} << 12;
+  for (const EdgeList& edges : {gen::star(n), gen::dandelion(n)}) {
+    Tree t(n);
+    RefForest ref(n);
+    link_all(t, ref, edges, batched);
+    util::SplitMix64 rng(4242);
+    for (Vertex v = 0; v < n; ++v) {
+      Weight w = static_cast<Weight>(1 + rng.next(1000));
+      t.set_vertex_weight(v, w);
+      ref.set_vertex_weight(v, w);
+    }
+    for (const Edge& e : edges) {
+      for (auto [v, p] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+        ASSERT_EQ(t.subtree_sum(v, p), ref.subtree_sum(v, p)) << v << "," << p;
+        ASSERT_EQ(t.subtree_size(v, p), ref.subtree_size(v, p))
+            << v << "," << p;
+      }
+    }
+  }
+}
+
+TEST(SuperunarySubtreeSweep, UfoTreeSingleLinks) {
+  superunary_subtree_sweep<UfoTree>(/*batched=*/false);
+}
+
+// batch_link lets the bulk rake-index path shape the hierarchy.
+TEST(SuperunarySubtreeSweep, ParUfoTreeBatchLink) {
+  superunary_subtree_sweep<par::UfoTree>(/*batched=*/true);
+}
 
 // Two trees, 0-1-2-3 (with a degree-3 vertex 1 via 1-4) and 5-6-7, on every
 // structure whose path and subtree queries share one walk per family.
