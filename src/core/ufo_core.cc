@@ -390,9 +390,11 @@ void UfoCore::add_child(uint32_t p, uint32_t c) {
   hot_[c].parent = p;
   hot_[c].pos_in_parent = hot_[p].children.size;
   children_push(p, c);
+  if (rake_indexed(p, c)) rake_index_add(p, c);
 }
 
 void UfoCore::remove_child(uint32_t p, uint32_t c) {
+  if (rake_indexed(p, c)) rake_index_remove(p, c);
   Hot& ph = hot_[p];
   uint32_t* kids = child_pool_.ptr(ph.children.head);
   uint32_t idx = hot_[c].pos_in_parent;
@@ -424,15 +426,7 @@ void UfoCore::recompute_chain(uint32_t c) {
   while (cur != 0) {
     recompute_aggregates(cur);
     uint32_t par = hot_[cur].parent;
-    if (par != 0) {
-      const Hot& ph = hot_[par];
-      if (ph.center_child != 0 && ph.center_child != cur &&
-          sizes_[par].rake_index_valid) {
-        // cur is a rake whose values changed: refresh its index entry.
-        rake_index_remove(par, cur);
-        rake_index_add(par, cur);
-      }
-    }
+    if (par != 0 && rake_indexed(par, cur)) rake_index_refresh(par, cur);
     cur = par;
   }
 }
@@ -446,10 +440,11 @@ void UfoCore::rake_ensure(uint32_t p) {
   }
 }
 
-// Contribution of rake r hanging off the center vertex (depth includes the
-// rake edge hop). Caches the values on r so removal is exact.
-void UfoCore::rake_contrib_refresh(uint32_t r) {
+// Caches rake r's contribution on r, so that removal is exact, and adds it.
+// r hangs off the center vertex, so its depth includes the rake edge hop.
+void UfoCore::rake_index_add(uint32_t p, uint32_t r) {
   sizes_[r].contrib_nverts = sizes_[r].n_verts;
+  sizes_[p].rake_nverts += sizes_[r].contrib_nverts;
   if (agg_ == Aggregates::kSize) return;
   Cold& rc = cold_[r];
   int sr = boundary_slot(
@@ -461,15 +456,8 @@ void UfoCore::rake_contrib_refresh(uint32_t r) {
   rc.contrib_sub = rc.sub_sum;
   rc.contrib_sumdist = (sr >= 0 ? rc.sum_dist[sr] : 0) + rc.sub_sum;
   rc.contrib_marked = rc.marked_count;
-}
-
-void UfoCore::rake_index_add(uint32_t p, uint32_t r) {
-  rake_contrib_refresh(r);
-  sizes_[p].rake_nverts += sizes_[r].contrib_nverts;
-  if (agg_ == Aggregates::kSize) return;
   rake_ensure(p);
   RakeIndex& ri = rake_of(p);
-  const Cold& rc = cold_[r];
   ri.depths.insert(rc.contrib_depth);
   if (rc.contrib_mark < kInf) ri.marks.insert(rc.contrib_mark);
   ri.diams.insert(rc.contrib_diam);
@@ -492,96 +480,26 @@ void UfoCore::rake_index_remove(uint32_t p, uint32_t r) {
   ri.marked_total -= rc.contrib_marked;
 }
 
-// Refresh `rakes`' cached contributions, merge their sorted key runs into
-// p's index bags, and add their totals. The shared tail of bulk build (into
-// cleared bags) and bulk attach (into a standing index). Fork-join when the
-// backend opted in and the batch is large; serial otherwise.
-void UfoCore::rake_index_merge_runs(uint32_t p,
-                                    const std::vector<uint32_t>& rakes) {
-  size_t n = rakes.size();
-  bool parallel = parallel_bulk_ && n >= kRakeBulkThreshold;
-  if (parallel)
-    par::parallel_for(0, n, [&](size_t i) { rake_contrib_refresh(rakes[i]); });
-  else
-    for (uint32_t r : rakes) rake_contrib_refresh(r);
-  for (uint32_t r : rakes) sizes_[p].rake_nverts += sizes_[r].contrib_nverts;
-  if (agg_ == Aggregates::kSize) return;
-  rake_ensure(p);
-  std::vector<int64_t> depths(n), diams(n), marks;
-  if (parallel) {
-    par::parallel_for(0, n, [&](size_t i) {
-      depths[i] = cold_[rakes[i]].contrib_depth;
-      diams[i] = cold_[rakes[i]].contrib_diam;
-    });
-    marks = par::map(n, [&](size_t i) { return cold_[rakes[i]].contrib_mark; });
-    marks = par::filter(marks, [&](int64_t m) { return m < kInf; });
-    par::sort(depths);
-    par::sort(diams);
-    par::sort(marks);
-  } else {
-    marks.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Cold& rc = cold_[rakes[i]];
-      depths[i] = rc.contrib_depth;
-      diams[i] = rc.contrib_diam;
-      if (rc.contrib_mark < kInf) marks.push_back(rc.contrib_mark);
-    }
-    std::sort(depths.begin(), depths.end());
-    std::sort(diams.begin(), diams.end());
-    std::sort(marks.begin(), marks.end());
-  }
-  RakeIndex& ri = rake_of(p);
-  ri.depths.merge_sorted_run(depths);
-  ri.marks.merge_sorted_run(marks);
-  ri.diams.merge_sorted_run(diams);
-  for (uint32_t r : rakes) {
-    const Cold& rc = cold_[r];
-    ri.sub_total += rc.contrib_sub;
-    ri.sumdist_total += rc.contrib_sumdist;
-    ri.marked_total += rc.contrib_marked;
-  }
+void UfoCore::rake_index_refresh(uint32_t p, uint32_t r) {
+  rake_index_remove(p, r);
+  rake_index_add(p, r);
 }
 
-void UfoCore::rake_index_clear(uint32_t p) {
+void UfoCore::rake_index_build(uint32_t p) {
   sizes_[p].rake_nverts = 0;
-  if (agg_ == Aggregates::kSize) return;
-  rake_ensure(p);
-  rake_of(p).clear();
-}
-
-void UfoCore::rake_index_build_bulk(uint32_t p) {
-  std::vector<uint32_t> rakes;
-  rakes.reserve(hot_[p].children.size);
+  if (agg_ == Aggregates::kAll) {
+    rake_ensure(p);
+    rake_of(p).clear();
+  }
   uint32_t center = hot_[p].center_child;
   for (uint32_t c : children(p))
-    if (c != center) rakes.push_back(c);
-  UFO_STAT("core.rake_bulk_builds", 1);
-  UFO_STAT("core.rake_bulk_rakes", rakes.size());
-  rake_index_clear(p);
-  rake_index_merge_runs(p, rakes);
+    if (c != center) rake_index_add(p, c);
+  sizes_[p].rake_index_valid = true;
 }
 
-void UfoCore::rake_index_bulk_add(uint32_t p,
-                                  const std::vector<uint32_t>& rakes) {
-  assert(sizes_[p].rake_index_valid);
-  if (rakes.size() < 64) {  // merge machinery not worth spinning up
-    for (uint32_t r : rakes) rake_index_add(p, r);
-    return;
-  }
-  // The rakes are already children of p; the rest of its non-center
-  // children are the indexed ones.
-  if (rakes.size() * 4 >= fanout(p) - 1 - rakes.size()) {
-    // The new set rivals the old: one bulk rebuild beats merging.
-    rake_index_build_bulk(p);
-    return;
-  }
-  UFO_STAT("core.rake_bulk_merges", 1);
-  rake_index_merge_runs(p, rakes);
-}
-
-// O(log fanout) aggregate refresh for a superunary cluster whose rake index
-// is current: rake contributions come from the index, the center's from its
-// live fields.
+// O(log distinct keys) aggregate refresh for a superunary cluster whose rake
+// index is current: rake contributions come from the index, the center's
+// from its live fields.
 void UfoCore::recompute_from_rake_index(uint32_t p) {
   const Hot& ph = hot_[p];
   sizes_[p].n_verts = sizes_[ph.center_child].n_verts + sizes_[p].rake_nverts;
@@ -636,10 +554,7 @@ void UfoCore::recompute_aggregates(uint32_t p) {
     return;
   }
   if (ph.center_child != 0) {  // superunary (high-degree) merge
-    if (!sizes_[p].rake_index_valid) {
-      rake_index_build_bulk(p);
-      sizes_[p].rake_index_valid = true;
-    }
+    if (!sizes_[p].rake_index_valid) rake_index_build(p);
     recompute_from_rake_index(p);
     return;
   }
@@ -847,8 +762,8 @@ UfoCore::MemoryBreakdown UfoCore::memory_breakdown() const {
   b.children = child_pool_.memory_bytes();
   b.adj_index = idx_pool_.memory_bytes();
   b.rake = rake_pool_.memory_bytes();
-  // Bag heap bytes, including capacity retained by freed-but-pooled
-  // indexes — this is what the old memory_bytes() omitted entirely.
+  // Bag heap bytes, including nodes still held by freed-but-pooled indexes
+  // (a recycled index is cleared when it is reused).
   rake_pool_.for_each_allocated(
       [&](const RakeIndex& ri) { b.rake += ri.memory_bytes(); });
   b.other = sizeof(*this) + free_.capacity() * sizeof(uint32_t) +
@@ -867,6 +782,8 @@ InvariantReport UfoCore::validate() const {
   //   #4 neighbor at a different level   #10 mergeable root pair (maximality)
   //   #5 rake with degree != 1           #11 unraked degree-1 neighbor
   //   #6 rake edge misses the center     #12 adjacency hash index mismatch
+  //   #13 superunary kAll cluster whose rake index is invalid (queries
+  //       read the index between updates)
   for (uint32_t id = 1; id < pool_size(); ++id) {
     const Hot& c = hot_[id];
     if (c.level == kFreedLevel) continue;
@@ -901,6 +818,9 @@ InvariantReport UfoCore::validate() const {
           return rep;
       }
       if (!center_found && !rep.add(7, id, {})) return rep;
+      if (agg_ == Aggregates::kAll && !sizes_[id].rake_index_valid &&
+          !rep.add(13, id, {}))
+        return rep;
     } else if (c.children.size == 2) {
       // Pair merge: children adjacent, degree sum <= 4 at merge time.
       if (!adj_contains(children(id)[0], children(id)[1]) &&
@@ -1286,9 +1206,14 @@ int64_t UfoCore::nearest_marked_distance(Vertex v) const {
         at_b = rp.len[j] + 1;
         score(at_b, ph.center_child, cold_[ph.center_child].bv[0]);
       }
-      for (uint32_t s : children(p))
-        if (s != c && s != ph.center_child)
-          score(at_b + 1, s, nbrs(s)[0].my_end);
+      // The other rakes in O(1): a rake's marks key is its nearest mark's
+      // distance from the center vertex, so the smallest key scores them
+      // all. If that key is c's own, it scores a walk out of c and back,
+      // never shorter than the mark inside c the climb already scored. The
+      // index is valid between updates (validate() code #13).
+      assert(sizes_[p].rake_index_valid);
+      const SortedBag& marks = rake_pool_.at(cold_[p].rake).marks;
+      if (!marks.empty()) best = std::min(best, at_b + marks.min());
     } else if (ph.children.size == 2) {
       Span<const uint32_t> kids = children(p);
       bool first = (kids[0] == c);

@@ -242,10 +242,12 @@ class UfoCore {
                 "a kAll cluster's aggregate records must fit in 160 bytes");
 
   // Incremental rake index for one superunary cluster, standing in for the
-  // paper's rank trees (Section 4.2): sorted bags index the non-invertible
-  // rake contributions; running totals cover the invertible parts (the size
-  // total lives in SizeRec::rake_nverts); each rake caches the contribution
-  // it last added (Cold::contrib_*). kAll only.
+  // paper's rank trees (Section 4.2): key -> count bags index the
+  // non-invertible rake contributions, whose ends (min, max, top two) are
+  // all the aggregates read; running totals cover the invertible parts (the
+  // size total lives in SizeRec::rake_nverts); each rake caches the
+  // contribution it last added (Cold::contrib_*), so removal is exact.
+  // kAll only.
   struct RakeIndex {
     SortedBag depths;  // 1 + rake.max_dist
     SortedBag marks;   // 1 + rake.marked_dist (finite only)
@@ -320,38 +322,25 @@ class UfoCore {
   uint32_t tree_root(Vertex v) const;
   // children bookkeeping with O(1) positional removal (superunary clusters
   // can have Theta(n) children; a linear scan per detach would be O(n^2)
-  // over a star teardown).
+  // over a star teardown). Both keep p's rake index in sync: a non-center
+  // child of a superunary parent whose index is valid is in that index.
   void add_child(uint32_t p, uint32_t c);
   void remove_child(uint32_t p, uint32_t c);
 
   void refresh_leaf(uint32_t leaf);
   void recompute_aggregates(uint32_t p);
-  // Incremental rake-index maintenance (amortized O(log fanout) each).
-  void rake_index_add(uint32_t p, uint32_t r);
-  void rake_index_remove(uint32_t p, uint32_t r);
-  // Recompute r's cached contribution fields from its current aggregates
-  // (the pure part of rake_index_add; safe to run concurrently for
-  // distinct r).
-  void rake_contrib_refresh(uint32_t r);
-  // Batch rake-index construction (Section 4.2's rank trees are
-  // parallelizable; the sorted-bag stand-in gets the same treatment):
-  // compute every rake's contribution, sort the key arrays (fork-join when
-  // parallel_bulk_ and the fanout is large, serial otherwise), and build
-  // the bags from the sorted runs — O(f log f) work instead of f container
-  // inserts. The only rebuild path recompute_aggregates uses.
-  void rake_index_build_bulk(uint32_t p);
-  // Batch attach: merge `rakes` (already children of p) into p's valid rake
-  // index. Sorted-run merge — O(existing + new) instead of
-  // new * log(existing); falls back to a full bulk rebuild when the new set
-  // rivals the existing one.
-  void rake_index_bulk_add(uint32_t p, const std::vector<uint32_t>& rakes);
-  // Shared tail of the two bulk paths: refresh contributions, sort, merge
-  // runs into p's bags, accumulate totals.
-  void rake_index_merge_runs(uint32_t p, const std::vector<uint32_t>& rakes);
-  // Empty p's rake totals and, in kAll, its index bags (does not touch
-  // validity), allocating the pooled index if p has none yet.
-  void rake_index_clear(uint32_t p);
-  static constexpr size_t kRakeBulkThreshold = 1024;
+  // Whether c is in p's rake index: c is a non-center child of superunary p
+  // and p's index is valid.
+  bool rake_indexed(uint32_t p, uint32_t c) const {
+    return hot_[p].center_child != 0 && hot_[p].center_child != c &&
+           sizes_[p].rake_index_valid;
+  }
+  // Re-cache indexed rake r's contribution after its aggregates changed,
+  // O(log distinct keys).
+  void rake_index_refresh(uint32_t p, uint32_t r);
+  // Clear p's rake index and add every non-center child; marks it valid.
+  // The only rebuild recompute_aggregates uses.
+  void rake_index_build(uint32_t p);
   // Recompute p's aggregates from the valid rake index + fresh center
   // values, without touching the rake children.
   void recompute_from_rake_index(uint32_t p);
@@ -403,11 +392,6 @@ class UfoCore {
   // True during seq batch_update's deletion walk, where a doomed pair merge
   // may be recomputed before its retirement (see recompute_aggregates).
   bool batch_deleting_ = false;
-  // Opted into by the parallel backend: lets recompute_aggregates build
-  // large rake indexes with the fork-join bulk path. The sequential backend
-  // leaves it false so "seq" never touches the pool (it stays an honest
-  // single-threaded baseline and spawns no background threads).
-  bool parallel_bulk_ = false;
   Aggregates agg_;
 
   std::vector<Hot> hot_;
@@ -437,6 +421,11 @@ class UfoCore {
   SubtreeAgg subtree_agg(Vertex v, Vertex p, const char* query) const;
   RakeIndex& rake_of(uint32_t p) { return rake_pool_.at(cold_[p].rake); }
   void rake_ensure(uint32_t p);
+  // Incremental rake-index maintenance, O(log distinct keys) each. Only
+  // add_child/remove_child, rake_index_refresh and rake_index_build call
+  // them, which is what keeps the index rule above.
+  void rake_index_add(uint32_t p, uint32_t r);
+  void rake_index_remove(uint32_t p, uint32_t r);
   void children_push(uint32_t p, uint32_t c);
   // Adjacency hash index internals (slot = key << 32 | pos; 0 = empty).
   void adj_index_build(uint32_t c);

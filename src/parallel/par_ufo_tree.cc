@@ -19,7 +19,6 @@
 namespace ufo::par {
 
 UfoTree::UfoTree(size_t n, core::Aggregates a) : core::UfoCore(n, a) {
-  parallel_bulk_ = true;  // rake indexes may use the fork-join bulk paths
   ensure_scratch();
 }
 
@@ -188,11 +187,7 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
       for (size_t i = begin; i < end; ++i) {
         const Token& t = rest[byp[i].second];
         if (!t.deleted) continue;
-        if (ch.center_child == t.child) {
-          center_gone = true;
-        } else if (ch.center_child != 0 && sizes_[cur].rake_index_valid) {
-          rake_index_remove(cur, t.child);
-        }
+        if (ch.center_child == t.child) center_gone = true;
         remove_child(cur, t.child);
       }
       bool deletable = ch.nbrs.size < 3 && ch.children.size < 3;
@@ -256,8 +251,6 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
           if (t.deleted) continue;
           uint32_t c = t.child;
           if (hot_[c].nbrs.size > 2) continue;  // stays attached
-          if (ch.center_child != 0 && sizes_[cur].rake_index_valid)
-            rake_index_remove(cur, c);
           remove_child(cur, c);
           std::atomic_ref<uint32_t>(hot_[c].parent)
               .store(0, std::memory_order_relaxed);
@@ -298,9 +291,6 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
 void UfoTree::force_detach(uint32_t c) {
   uint32_t p = hot_[c].parent;
   assert(p != 0);
-  if (hot_[p].center_child != 0 && hot_[p].center_child != c &&
-      sizes_[p].rake_index_valid)
-    rake_index_remove(p, c);
   remove_child(p, c);
   hot_[c].parent = 0;
   root_into_frontier(c);
@@ -433,9 +423,8 @@ void UfoTree::contract_frontier() {
 
 // Everything entering a round gets fresh aggregates: shed survivors lost a
 // child, frontier leaves changed adjacency, and the previous round's new
-// parents get their first ones here (superunary parents above the bulk
-// threshold build their rake index with the parallel sorted-run
-// constructor).
+// parents get their first ones here (superunary parents build their rake
+// index).
 std::vector<uint32_t> UfoTree::admit(int32_t lvl, std::vector<uint32_t> raw) {
   remove_duplicates(raw);
   raw = filter(raw, [&](uint32_t c) {
@@ -592,8 +581,8 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   UFO_STAT("par.recluster.rake_attached", engaged.size());
 
   // Phase 3a: rake-attach into surviving superunary parents, grouped so one
-  // task owns each target parent and extends its rake index with a single
-  // parallel sorted-run bulk merge (this is the star's hot path).
+  // task owns each target parent; add_child puts each rake into the
+  // parent's rake index (this is the star's hot path).
   std::vector<uint8_t> target_rooted(engaged.size(), 0);
   std::vector<std::pair<size_t, size_t>> egroups;
   if (!engaged.empty()) {
@@ -606,19 +595,14 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
       if (pyh.center_child == 0) {
         // A fanout-1 extension of y gains its first rakes: it becomes a
         // high-degree merge centered on y (y kept degree >= 3, so its
-        // boundary is already the single center vertex).
+        // boundary is already the single center vertex). Its rake index
+        // is built when py is recomputed.
         assert(pyh.children.size == 1 && children(py)[0] == y);
         pyh.center_child = y;
-        rake_index_clear(py);
-        sizes_[py].rake_index_valid = true;
+        sizes_[py].rake_index_valid = false;
       }
       assert(pyh.center_child == y && "rake-attach target must center y");
-      std::vector<uint32_t> newly(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        newly[i - begin] = engaged[i].second;
-        add_child(py, engaged[i].second);
-      }
-      if (sizes_[py].rake_index_valid) rake_index_bulk_add(py, newly);
+      for (size_t i = begin; i < end; ++i) add_child(py, engaged[i].second);
       if (pyh.parent == 0) target_rooted[g] = 1;
     });
     for (size_t g = 0; g < egroups.size(); ++g) {
@@ -730,18 +714,14 @@ void UfoTree::flush_dirty() {
       if (p == 0 || doomed_[p]) continue;
       if (buckets.size() <= l + 1) buckets.resize(l + 2);
       buckets[l + 1].push_back(p);
-      if (hot_[p].center_child != 0 && hot_[p].center_child != c &&
-          sizes_[p].rake_index_valid)
-        stale.emplace_back(p, c);
+      if (rake_indexed(p, c)) stale.emplace_back(p, c);
     }
     if (!stale.empty()) {
       auto sgroups = group_by_key(stale);
       parallel_for(0, sgroups.size(), [&](size_t g) {
         auto [begin, end] = sgroups[g];
-        for (size_t i = begin; i < end; ++i) {
-          rake_index_remove(stale[i].first, stale[i].second);
-          rake_index_add(stale[i].first, stale[i].second);
-        }
+        for (size_t i = begin; i < end; ++i)
+          rake_index_refresh(stale[i].first, stale[i].second);
       });
     }
   }

@@ -28,9 +28,9 @@
 //      matching rounds. Frontier clusters interact with the *surviving*
 //      hierarchy: an active degree-1 cluster next to an attached
 //      high-degree neighbor rake-attaches into that neighbor's superunary
-//      parent (each parent's rake index is extended with one parallel
-//      sorted-run bulk merge); attached degree-1 neighbors of active
-//      centers are detached by the same teardown machinery and raked in.
+//      parent (one task per parent adds the rakes to its rake index);
+//      attached degree-1 neighbors of active centers are detached by the
+//      same teardown machinery and raked in.
 //      Detach requests are deduplicated at the phase boundary, so each
 //      target starts one walk however many tasks asked for it.
 //   5. A final level-synchronous flush recomputes the aggregates of every
@@ -72,9 +72,11 @@ class UfoTree : public core::UfoCore {
   void link(Vertex u, Vertex v, Weight w = 1);
   void cut(Vertex u, Vertex v);
 
-  // Batch-dynamic updates (Section 5 contract, same as seq::UfoTree): at
-  // most one update per edge, and every ordering of the batch must be a
-  // valid update sequence.
+  // Batch-dynamic updates, same contract as seq::UfoTree::batch_update:
+  // each edge gets at most one update, every deletion names a current
+  // edge, and the insertions form a forest together with the current edges
+  // minus the batch's deletions (so a batch may cut an edge and link its
+  // replacement).
   void batch_update(const std::vector<Update>& batch);
   void batch_link(const std::vector<Edge>& edges);
   void batch_cut(const std::vector<Edge>& edges);

@@ -545,6 +545,11 @@ RecoveryError ForestSerializer::restore(const SnapshotReader& r,
             UFO_STAT("recovery.load.degraded", 1);
           }
         }
+      } else {
+        // The dumped aggregates stand; build the rake indexes from them,
+        // since queries read a superunary cluster's index between updates.
+        for (uint32_t id : internal)
+          if (t.hot_[id].center_child != 0) t.rake_index_build(id);
       }
     }
 

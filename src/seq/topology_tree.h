@@ -43,8 +43,12 @@ class TopologyTree {
   void link(Vertex u, Vertex v, Weight w = 1);
   void cut(Vertex u, Vertex v);
   // Batch-dynamic update (Section 5.1 / Algorithm 3 structure): applies a
-  // mixed batch with one shared bottom-up reclustering pass. At most one
-  // update per edge; every ordering of the batch must be valid.
+  // mixed batch with one shared bottom-up reclustering pass. Contract, as
+  // for seq::UfoTree: each edge gets at most one update, every deletion
+  // names a current edge, and the insertions form a forest together with
+  // the current edges minus the batch's deletions (so a batch may cut an
+  // edge and link its replacement); and no vertex's degree exceeds 3 as
+  // the updates are applied in batch order.
   void batch_update(const std::vector<Update>& batch);
   void batch_link(const std::vector<Edge>& edges);
   void batch_cut(const std::vector<Edge>& edges);

@@ -58,9 +58,6 @@ void UfoTree::delete_ancestors(uint32_t c) {
         add_root(ch);
       }
       if (next != 0) {
-        if (hot_[next].center_child != 0 && hot_[next].center_child != cur &&
-            sizes_[next].rake_index_valid)
-          rake_index_remove(next, cur);
         remove_child(next, cur);
         // If next survives the walk its contents shrank; refresh later.
         mark_dirty(next);
@@ -71,9 +68,6 @@ void UfoTree::delete_ancestors(uint32_t c) {
                hot_[prev].parent == cur) {
       // Disconnect the low-degree child from its surviving parent; the
       // parent's contents shrink, so its chain needs aggregate refreshes.
-      if (hot_[cur].center_child != 0 && hot_[cur].center_child != prev &&
-          sizes_[cur].rake_index_valid)
-        rake_index_remove(cur, prev);
       remove_child(cur, prev);
       hot_[prev].parent = 0;
       add_root(prev);
@@ -325,9 +319,9 @@ void UfoTree::recluster() {
             uint32_t py = hot_[y].parent;  // fanout-1 extension of y
             delete_ancestors(py);          // detaches py (low degree)
             assert(hot_[py].parent == 0);
-            add_child(py, x);
             hot_[py].center_child = 0;  // becomes a plain pair merge
             sizes_[py].rake_index_valid = false;
+            add_child(py, x);
             hot_[py].merge_u = a.other_end;  // inside y = children[0]
             hot_[py].merge_v = a.my_end;
             hot_[py].merge_w = a.w;
@@ -352,8 +346,8 @@ void UfoTree::recluster() {
         if (hot_[y].parent != 0 && !merges(y)) {
           uint32_t py = hot_[y].parent;
           delete_ancestors(py);
-          add_child(py, x);
           sizes_[py].rake_index_valid = false;  // merge shape changed
+          add_child(py, x);
           if (dy >= 3) {
             hot_[py].center_child = y;  // becomes a high-degree merge
           } else {
@@ -377,7 +371,6 @@ void UfoTree::recluster() {
           assert(hot_[py].center_child == y);
           delete_ancestors(py);  // may or may not detach py
           add_child(py, x);
-          if (sizes_[py].rake_index_valid) rake_index_add(py, x);
           if (hot_[py].parent == 0) {
             agg_only.push_back(py);  // a rake's edge is internal: the
             add_root(py);            // parent's adjacency is unchanged

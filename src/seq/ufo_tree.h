@@ -44,8 +44,10 @@ class UfoTree : public core::UfoCore {
   // Batch-dynamic update (Section 5.2 / Algorithm 4 structure): applies a
   // mixed batch of insertions and deletions with ONE shared bottom-up
   // reclustering pass, so the per-level work of overlapping updates is
-  // shared. The batch must contain at most one update per edge, and every
-  // ordering of the batch must be a valid update sequence.
+  // shared. Contract: each edge gets at most one update, every deletion
+  // names a current edge, and the insertions form a forest together with
+  // the current edges minus the batch's deletions. So one batch may cut an
+  // edge and link a replacement between the two sides it separates.
   void batch_update(const std::vector<Update>& batch);
   void batch_link(const std::vector<Edge>& edges);
   void batch_cut(const std::vector<Edge>& edges);

@@ -7,9 +7,9 @@
 // (par_teardown_test / _t2 / _t4) plus the hardware default (_tmax), since
 // the fork-join pool's size is fixed at process start.
 //
-// Also unit-tests the bulk rake-index construction (parallel sorted-run
-// build + merge) against the incremental std::multiset path by building
-// superunary clusters above and below kRakeBulkThreshold both ways.
+// Also checks rake indexes built whole (one superunary parent of a
+// batch-linked star) against ones grown rake by rake (seq's single links
+// and par's rake-attach into a standing hub), at fanouts 200 to 3000.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -187,14 +187,14 @@ TEST(ParTeardown, MixedSmallBatchesVsRef) {
   }
 }
 
-// Bulk rake-index construction against the incremental multiset path: a
-// star above kRakeBulkThreshold takes the parallel sorted-run build when
-// batch-linked, while seq's per-edge links go through rake_index_add; both
+// A rake index built whole against one grown rake by rake: a batch-linked
+// star gets one superunary parent whose index rake_index_build fills in
+// one pass, while seq's single links add each rake as it attaches; both
 // must answer every aggregate query identically, and check_aggregates
-// itself re-verifies incremental == full-rebuild on each backend.
+// itself re-verifies incremental == full rebuild on each backend.
 TEST(ParTeardown, RakeIndexBulkBuildMatchesIncremental) {
-  // 200 stays on the incremental multiset path; 1524 crosses
-  // core::UfoCore::kRakeBulkThreshold (1024) into the parallel bulk build.
+  // Two hub fanouts, both far above the handful of distinct keys a bag
+  // holds.
   const size_t sizes[] = {200, 1524};
   for (size_t n : sizes) {
     EdgeList edges = gen::star(n);
@@ -229,9 +229,9 @@ TEST(ParTeardown, RakeIndexBulkBuildMatchesIncremental) {
   }
 }
 
-// Bulk attach (sorted-run merge into an existing index): grow a standing
-// star in batches large enough to take rake_index_bulk_add's merge and
-// rebuild branches, shrinking back between rounds.
+// Rake-attach into a standing index: grow a standing star by a batch as
+// large as its index and then by a small slice, shrinking back between
+// rounds; every attached rake goes through add_child's index add.
 TEST(ParTeardown, RakeIndexBulkAttachMatchesSeq) {
   constexpr size_t n = 3000;
   EdgeList edges = gen::star(n);
@@ -244,8 +244,8 @@ TEST(ParTeardown, RakeIndexBulkAttachMatchesSeq) {
   std::vector<Edge> second(edges.begin() + half, edges.end());
   p.batch_link(first);
   s.batch_link(first);
-  // Attach a batch that rivals the standing index (rebuild branch), cut it,
-  // then attach a small slice (merge branch).
+  // Attach a batch as large as the standing index, cut it, then attach a
+  // small slice.
   for (int round = 0; round < 3; ++round) {
     p.batch_link(second);
     s.batch_link(second);

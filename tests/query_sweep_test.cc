@@ -4,13 +4,17 @@
 // alpha (high diameter at alpha = 0 down to near-star at alpha = 2+), so
 // the correctness of the benchmarked configurations is itself under test.
 // The sweep runs on seq::UfoTree (single links and cuts) and on
-// par::UfoTree (batch_link / batch_cut, so the bulk rake-index paths shape
-// the hierarchy). A star and a dandelion check every subtree query through
-// high-fanout hubs. The last suite pins the query preconditions: the empty
-// path, and the named aborts on disconnected endpoints and non-edges.
+// par::UfoTree (batch_link / batch_cut, so the batch pipeline shapes the
+// hierarchy). A star and a dandelion check every subtree and nearest-marked
+// query through high-fanout hubs. The last suite pins the query
+// preconditions: the empty path, and the named aborts on disconnected
+// endpoints and non-edges.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +22,7 @@
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
 #include "parallel/par_ufo_tree.h"
+#include "recovery/snapshot.h"
 #include "seq/ternarize.h"
 #include "seq/topology_tree.h"
 #include "seq/ufo_tree.h"
@@ -227,9 +232,58 @@ TEST(SuperunarySubtreeSweep, UfoTreeSingleLinks) {
   superunary_subtree_sweep<UfoTree>(/*batched=*/false);
 }
 
-// batch_link lets the bulk rake-index path shape the hierarchy.
+// batch_link builds each hub in one batch, so its rake index is built in
+// one rebuild rather than rake by rake.
 TEST(SuperunarySubtreeSweep, ParUfoTreeBatchLink) {
   superunary_subtree_sweep<par::UfoTree>(/*batched=*/true);
+}
+
+// Nearest-marked queries through superunary clusters: the same star and
+// dandelion with random marks, every vertex against the oracle. A hub
+// crossing reads the smallest key of the hub's marks bag instead of
+// scanning its rakes, so a stale or missing key shows here. Repeated after
+// a save/load round trip without verification, which must still build
+// the rake indexes.
+template <class Tree>
+void superunary_marked_sweep(bool batched) {
+  constexpr size_t n = size_t{1} << 12;
+  for (const EdgeList& edges : {gen::star(n), gen::dandelion(n)}) {
+    Tree t(n);
+    RefForest ref(n);
+    link_all(t, ref, edges, batched);
+    util::SplitMix64 rng(977);
+    for (Vertex v = 0; v < n; ++v) {
+      bool m = rng.next(64) == 0;
+      t.set_mark(v, m);
+      ref.set_mark(v, m);
+    }
+    std::vector<int64_t> want(n);
+    for (Vertex v = 0; v < n; ++v) {
+      want[v] = ref.nearest_marked_distance(v);
+      ASSERT_EQ(t.nearest_marked_distance(v), want[v]) << v;
+    }
+    const std::string path = testing::TempDir() + "ufo_marked_sweep_" +
+                             std::to_string(getpid()) + ".snap";
+    ASSERT_EQ(recovery::ForestSerializer::save(t, path),
+              recovery::RecoveryError::kNone);
+    Tree loaded(n);
+    ASSERT_EQ(recovery::ForestSerializer::load(
+                  loaded, path, recovery::LoadOptions{.verify = false}),
+              recovery::RecoveryError::kNone);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.check_valid());
+    for (Vertex v = 0; v < n; ++v)
+      ASSERT_EQ(loaded.nearest_marked_distance(v), want[v])
+          << "after load " << v;
+  }
+}
+
+TEST(SuperunaryMarkedSweep, UfoTreeSingleLinks) {
+  superunary_marked_sweep<UfoTree>(/*batched=*/false);
+}
+
+TEST(SuperunaryMarkedSweep, ParUfoTreeBatchLink) {
+  superunary_marked_sweep<par::UfoTree>(/*batched=*/true);
 }
 
 // Two trees, 0-1-2-3 (with a degree-3 vertex 1 via 1-4) and 5-6-7, on every

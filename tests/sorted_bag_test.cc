@@ -1,9 +1,8 @@
-// Unit tests for core::SortedBag, the flat sorted-array multiset backing
-// the pooled rake indexes (src/core/sorted_bag.h). Differential against
+// Unit tests for core::SortedBag, the key -> count multiset backing the
+// pooled rake indexes (src/core/sorted_bag.h). Differential against
 // std::multiset over randomized insert/erase/min/max/top2 traffic, plus
-// directed cases for the pending-buffer flush, tombstone compaction, the
-// top-2 dead-run scan limit, and the bulk sorted-run merge used by
-// rake_index_merge_runs.
+// directed cases for duplicates at the top and for reads through a const
+// bag.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +15,8 @@
 namespace ufo::core {
 namespace {
 
-void expect_matches(SortedBag& bag, const std::multiset<int64_t>& oracle,
-                    const char* ctx) {
+void expect_matches(const SortedBag& bag,
+                    const std::multiset<int64_t>& oracle, const char* ctx) {
   ASSERT_EQ(bag.size(), oracle.size()) << ctx;
   ASSERT_EQ(bag.empty(), oracle.empty()) << ctx;
   if (oracle.empty()) return;
@@ -65,8 +64,35 @@ TEST(SortedBag, Top2WithDuplicateMaximum) {
   EXPECT_EQ(top[1], 7);  // a multiset: the duplicate counts as second
 }
 
-// Push enough values through to force multiple pending-buffer flushes and
-// main-run rebuilds, verifying against the oracle throughout.
+// Every read works through a const reference, so concurrent queries can
+// share a bag: none of them may restructure it.
+TEST(SortedBag, ReadsThroughConstReference) {
+  SortedBag b;
+  for (int64_t v : {4, 8, 8, 2, 6}) b.insert(v);
+  const SortedBag& cb = b;
+  EXPECT_EQ(cb.size(), 5u);
+  EXPECT_FALSE(cb.empty());
+  EXPECT_EQ(cb.min(), 2);
+  EXPECT_EQ(cb.max(), 8);
+  int64_t top[2];
+  ASSERT_EQ(cb.top2(top), 2);
+  EXPECT_EQ(top[0], 8);
+  EXPECT_EQ(top[1], 8);
+  b.erase_one(8);
+  ASSERT_EQ(cb.top2(top), 2);
+  EXPECT_EQ(top[0], 8);
+  EXPECT_EQ(top[1], 6);
+  SortedBag one;
+  one.insert(3);
+  const SortedBag& c1 = one;
+  ASSERT_EQ(c1.top2(top), 1);
+  EXPECT_EQ(top[0], 3);
+  const SortedBag none;
+  EXPECT_EQ(none.top2(top), 0);
+}
+
+// Random churn over a small key range, so counts rise, fall and reach zero
+// (node removal) many times; verified against the oracle throughout.
 TEST(SortedBag, DifferentialRandomChurn) {
   util::SplitMix64 rng(0xbadcafe);
   SortedBag bag;
@@ -79,7 +105,7 @@ TEST(SortedBag, DifferentialRandomChurn) {
       oracle.insert(v);
     } else {
       // Erase a value present in the oracle (biased toward the extremes,
-      // where the bag's trim paths live).
+      // which the reads look at).
       int64_t v;
       switch (rng.next() % 4) {
         case 0: v = *oracle.begin(); break;
@@ -98,8 +124,8 @@ TEST(SortedBag, DifferentialRandomChurn) {
   expect_matches(bag, oracle, "final");
 }
 
-// Deleting a long run of near-maximal values leaves a dead run at the top
-// of the main array; top2 must flush past the scan limit and still answer.
+// Deleting a long run of near-maximal values moves the top of the bag down
+// past every erased key; top2 must follow it.
 TEST(SortedBag, Top2SurvivesDeadRunAtTop) {
   SortedBag bag;
   std::multiset<int64_t> oracle;
@@ -119,36 +145,6 @@ TEST(SortedBag, Top2SurvivesDeadRunAtTop) {
   expect_matches(bag, oracle, "dead run at top");
 }
 
-TEST(SortedBag, MergeSortedRunMatchesOracle) {
-  util::SplitMix64 rng(0x5eed);
-  SortedBag bag;
-  std::multiset<int64_t> oracle;
-  for (int round = 0; round < 8; ++round) {
-    // Interleave incremental traffic with bulk merges, as the rake index
-    // does (incremental add/remove between bulk build rounds).
-    for (int i = 0; i < 50; ++i) {
-      int64_t v = static_cast<int64_t>(rng.next() % 1000);
-      bag.insert(v);
-      oracle.insert(v);
-    }
-    for (int i = 0; i < 20 && !oracle.empty(); ++i) {
-      auto it = oracle.begin();
-      std::advance(it, rng.next() % oracle.size());
-      bag.erase_one(*it);
-      oracle.erase(it);
-    }
-    std::vector<int64_t> run(200 + rng.next() % 300);
-    for (auto& v : run) v = static_cast<int64_t>(rng.next() % 1000);
-    std::sort(run.begin(), run.end());
-    bag.merge_sorted_run(run);
-    oracle.insert(run.begin(), run.end());
-    expect_matches(bag, oracle, "post-merge");
-  }
-  bag.clear();
-  EXPECT_TRUE(bag.empty());
-  EXPECT_EQ(bag.size(), 0u);
-}
-
 TEST(SortedBag, MemoryBytesTracksCapacity) {
   SortedBag bag;
   EXPECT_EQ(bag.memory_bytes(), 0u);
@@ -156,8 +152,8 @@ TEST(SortedBag, MemoryBytesTracksCapacity) {
   size_t full = bag.memory_bytes();
   EXPECT_GT(full, 5000 * sizeof(int64_t) / 2);
   bag.clear();
-  // clear() releases nothing by design (the pooled rake index reuses the
-  // warmed-up capacity), so accounting must still see the heap.
+  // clear() frees the nodes; accounting never reports more than the full
+  // bag did.
   EXPECT_LE(bag.memory_bytes(), full);
 }
 
