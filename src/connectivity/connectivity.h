@@ -332,7 +332,7 @@ class GraphConnectivity {
       return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
     };
     return sizeof(*this) + forest_.memory_bytes() + nontree_.memory_bytes() +
-           weight_.memory_bytes() + labels_.memory_bytes() + vec(members_) +
+           weight_.memory_bytes() + vec(labels_) + vec(members_) +
            vec(emit_off_) + vec(emitted_);
   }
 
@@ -583,7 +583,7 @@ class GraphConnectivity {
   void replace(const EdgeList& cuts) {
     UFO_SPAN("conn.search");
     UFO_STAT("conn.search.rounds", 1);
-    constexpr uint32_t kUnlabelled = par::ClaimTable::kUnclaimed;
+    constexpr uint32_t kUnlabelled = 0xffffffffu;
     auto endpoint = [&](size_t i) {
       return (i & 1) ? cuts[i >> 1].v : cuts[i >> 1].u;
     };
@@ -623,28 +623,31 @@ class GraphConnectivity {
     // 2. Label: BFS over the forest's adjacency from each non-largest
     // piece's representative, pieces in parallel. Each piece's vertices
     // land in its own slice of members_ (sized by the piece sizes), which
-    // doubles as its BFS queue. Pieces are disjoint, so every claim
-    // succeeds exactly once.
+    // doubles as its BFS queue. Pieces are disjoint components of the cut
+    // forest, so no two pieces write the same label.
     std::vector<size_t> slice(scanned.size() + 1, 0);
     for (size_t j = 0; j < scanned.size(); ++j)
       slice[j] = piece_size[scanned[j]];
     members_.resize(par::scan_exclusive(slice));
-    labels_.begin_phase(n_);
+    if (labels_.empty()) labels_.assign(n_, kUnlabelled);
     par::parallel_for(0, scanned.size(), [&](size_t j) {
       const uint32_t p = scanned[j];
       size_t head = slice[j], tail = slice[j];
-      labels_.claim(rep[p], p);
+      labels_[rep[p]] = p;
       members_[tail++] = rep[p];
       while (head < tail) {
         forest_.for_each_neighbor(members_[head++], [&](Vertex y) {
-          if (labels_.claim(y, p)) members_[tail++] = y;
+          if (labels_[y] == kUnlabelled) {
+            labels_[y] = p;
+            members_[tail++] = y;
+          }
         });
       }
       assert(tail == slice[j + 1] && "component_size disagrees with forest");
     });
 
     // 3. Scan, vertex by vertex: a non-tree neighbour y of x (piece p) lies
-    // in the piece owner_of(y), or, if unlabelled, in p's exempt piece (a
+    // in the piece labels_[y], or, if unlabelled, in p's exempt piece (a
     // non-tree edge never leaves its original component). Every edge out of
     // p is emitted into x's slots until p emits one into its exempt piece;
     // then p is joined to it, and the rest of p's vertices skip the scan.
@@ -658,14 +661,14 @@ class GraphConnectivity {
     std::vector<std::atomic<uint8_t>> joined(np);
     par::parallel_for(0, m, [&](size_t i) {
       const Vertex x = members_[i];
-      const uint32_t p = labels_.owner_of(x);
+      const uint32_t p = labels_[x];
       if (joined[p]) return;
       UFO_STAT("conn.replacement_scanned", 1);
       size_t out = emit_off_[i];
       bool stop = false;
       nontree_.for_each_neighbor(x, [&](Vertex y) {
         if (stop) return;
-        const uint32_t q = labels_.owner_of(y);
+        const uint32_t q = labels_[y];
         if (q == p) return;
         emitted_[out++] = y;
         if (q == kUnlabelled) {
@@ -677,20 +680,25 @@ class GraphConnectivity {
 
     // 4. Promote: stage the emitted edges through a union-find over pieces;
     // the accepted ones form a spanning forest of the piece graph, hence
-    // are mutually independent for one batch_link.
+    // are mutually independent for one batch_link. The labelled vertices
+    // are exactly members_, so resetting them readies labels_ for the next
+    // search.
     util::UnionFind stage(np);
     EdgeList winners;
     for (size_t i = 0; i < m; ++i) {
       const Vertex x = members_[i];
-      const uint32_t p = labels_.owner_of(x);
+      const uint32_t p = labels_[x];
       for (size_t s = emit_off_[i];
            s < emit_off_[i + 1] && emitted_[s] != kNoVertex; ++s) {
         const Vertex y = emitted_[s];
-        uint32_t q = labels_.owner_of(y);
+        uint32_t q = labels_[y];
         if (q == kUnlabelled) q = exempt[p];
         if (stage.unite(p, q)) winners.push_back({x, y, weight_of(x, y)});
       }
     }
+    par::parallel_for(0, m, [&](size_t i) {
+      labels_[members_[i]] = kUnlabelled;
+    });
     if (winners.empty()) return;
     UFO_SPAN("conn.promote");
     UFO_STAT("conn.promotions", static_cast<int64_t>(winners.size()));
@@ -708,9 +716,10 @@ class GraphConnectivity {
   par::ConcurrentMap weight_;  // edge key -> weight, all edges (membership)
   size_t components_;
   // Replacement-search scratch, pooled across batches: vertex -> piece
-  // labels, the non-largest pieces' vertices (piece by piece), and each
-  // vertex's slots for emitted replacement candidates.
-  par::ClaimTable labels_;
+  // labels (allocated by the first search; every entry is unlabelled
+  // between searches), the non-largest pieces' vertices (piece by piece),
+  // and each vertex's slots for emitted replacement candidates.
+  std::vector<uint32_t> labels_;
   std::vector<Vertex> members_;
   std::vector<size_t> emit_off_;
   std::vector<Vertex> emitted_;

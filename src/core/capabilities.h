@@ -14,6 +14,7 @@
 
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/forest.h"
@@ -66,6 +67,30 @@ concept NonLocalQueryable =
 template <class T>
 concept FullDynamicTree =
     PathQueryable<T> && SubtreeQueryable<T> && NonLocalQueryable<T>;
+
+// The vertex at hop distance k (0 <= k <= path_length(from, to)) from
+// `from` on the from--to path, over a tree's public path_milestone and
+// path_length; both contraction trees' lca call it. Each round either
+// returns an end of the milestone edge or shrinks the path to one that lies
+// inside a child of the previous LCA cluster, so there are O(height) rounds
+// of one distance query each.
+template <class Tree>
+Vertex path_select(const Tree& t, Vertex from, Vertex to, int64_t k) {
+  while (k > 0) {
+    Vertex a = kNoVertex, b = kNoVertex;
+    t.path_milestone(from, to, &a, &b);
+    const int64_t da = a == from ? 0 : t.path_length(from, a);
+    if (k < da) {
+      to = a;  // the target lies strictly inside [from, a)
+      continue;
+    }
+    if (k == da) return a;
+    if (k == da + 1) return b;
+    from = b;
+    k -= da + 1;
+  }
+  return from;
+}
 
 // General-graph connectivity (src/connectivity/): unlike DynamicTree, edges
 // may form cycles — the structure maintains a spanning forest internally and

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "core/capabilities.h"
 #include "obs/metrics.h"
 #include "parallel/primitives.h"
 #include "util/random.h"
@@ -548,6 +549,7 @@ void UfoCore::recompute_from_rake_index(uint32_t p) {
 }
 
 void UfoCore::recompute_aggregates(uint32_t p) {
+  UFO_STAT("core.recompute", 1);
   const Hot& ph = hot_[p];
   if (ph.children.size == 0) {  // leaf cluster
     refresh_leaf(p);
@@ -604,28 +606,7 @@ void UfoCore::recompute_aggregates(uint32_t p) {
   pc.marked_count = a.marked_count + b.marked_count;
   int sa = boundary_slot(a, ph.merge_u);
   int sb = boundary_slot(b, ph.merge_v);
-  if (sa < 0 || sb < 0) {
-    // The merge edge is gone from a child's boundary: a batched deletion
-    // removed it, but this cluster has not been retired yet (seq
-    // batch_update Phase 1 walks every deletion before any ancestor
-    // deletion runs, so a doomed pair can be recomputed mid-phase by a
-    // later walk in the same batch). Both merge endpoints are batch
-    // endpoints, so delete_ancestors retires this cluster before any query
-    // reads it; fill conservative aggregates instead of rejecting the
-    // batch. Outside that window a stale pair is a real invariant
-    // violation — keep the debug trap.
-    assert(batch_deleting_ && "stale pair merge outside batch Phase 1");
-    pc.diam = std::max(a.diam, b.diam);
-    for (int i = 0; i < 2; ++i) {
-      pc.max_dist[i] = 0;
-      pc.sum_dist[i] = 0;
-      pc.marked_dist[i] = kInf;
-    }
-    pc.path_sum = 0;
-    pc.path_max = kNegInf;
-    pc.path_len = 0;
-    return;
-  }
+  assert(sa >= 0 && sb >= 0 && "pair merge edge left a child's boundary");
   pc.diam = std::max({a.diam, b.diam, a.max_dist[sa] + 1 + b.max_dist[sb]});
   for (int i = 0; i < 2; ++i) {
     Vertex q = pc.bv[i];
@@ -1146,26 +1127,6 @@ void UfoCore::path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const {
   }
 }
 
-static Vertex ufo_path_select(const UfoCore& t, Vertex from, Vertex to,
-                              int64_t k) {
-  Vertex cur = from;
-  int64_t remaining = k;
-  while (remaining > 0) {
-    Vertex a = kNoVertex, b = kNoVertex;
-    t.path_milestone(cur, to, &a, &b);
-    int64_t da = (a == cur) ? 0 : t.path_length(cur, a);
-    if (remaining < da) {
-      to = a;
-      continue;
-    }
-    if (remaining == da) return a;
-    if (remaining == da + 1) return b;
-    cur = b;
-    remaining -= da + 1;
-  }
-  return cur;
-}
-
 Vertex UfoCore::lca(Vertex u, Vertex v, Vertex r) const {
   require_all("lca");
   if (u == v) return u;
@@ -1174,7 +1135,7 @@ Vertex UfoCore::lca(Vertex u, Vertex v, Vertex r) const {
   int64_t dur = path_length(u, r);
   int64_t dvr = path_length(v, r);
   int64_t k = (duv + dur - dvr) / 2;
-  return ufo_path_select(*this, u, v, k);
+  return path_select(*this, u, v, k);
 }
 
 int64_t UfoCore::component_diameter(Vertex v) const {

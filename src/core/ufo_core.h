@@ -389,9 +389,6 @@ class UfoCore {
   static constexpr uint32_t kAdjIdxThreshold = 64;
 
   size_t n_;
-  // True during seq batch_update's deletion walk, where a doomed pair merge
-  // may be recomputed before its retirement (see recompute_aggregates).
-  bool batch_deleting_ = false;
   Aggregates agg_;
 
   std::vector<Hot> hot_;

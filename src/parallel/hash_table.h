@@ -284,70 +284,4 @@ class ConcurrentTable {
 using ConcurrentSet = ConcurrentTable<void>;
 using ConcurrentMap = ConcurrentTable<int64_t>;
 
-// Per-slot ownership claims for phase-concurrent algorithms: many tasks race
-// to claim the same dense id (such as a graph vertex) and exactly one
-// wins the CAS and performs the work; a loser drops its duplicate request
-// and reads the winner with owner_of(). Slots are epoch-tagged so a new
-// phase invalidates every previous claim in O(1) — no O(n) clear between
-// batches, which matters when a small batch touches a huge structure.
-class ClaimTable {
- public:
-  // owner_of() result when nobody claimed the id this phase. Owners must be
-  // < kUnclaimed (the replacement search uses piece indexes, dense and
-  // well below 2^32 - 1).
-  static constexpr uint32_t kUnclaimed = 0xffffffffu;
-
-  // Single-threaded phase boundary: make ids [0, n) claimable and retire
-  // every claim from earlier phases.
-  void begin_phase(size_t n) {
-    if (slots_.size() < n) {
-      // Atomics are not movable; rebuild and restart the epoch count.
-      std::vector<std::atomic<uint64_t>> fresh(n + n / 2 + 16);
-      for (auto& s : fresh) s.store(0, std::memory_order_relaxed);
-      slots_.swap(fresh);
-      epoch_ = 0;
-    }
-    ++epoch_;
-    if ((epoch_ >> 32) != 0) {  // 32-bit epoch wrapped: hard-clear instead
-      for (auto& s : slots_) s.store(0, std::memory_order_relaxed);
-      epoch_ = 1;
-    }
-  }
-
-  // Phase-concurrent: claim `id` for `owner`. Returns true iff this call
-  // won (exactly one claim per id per phase succeeds).
-  bool claim(size_t id, uint32_t owner) {
-    uint64_t want = (epoch_ << 32) | owner;
-    uint64_t cur = slots_[id].load(std::memory_order_relaxed);
-    for (;;) {
-      if ((cur >> 32) == epoch_) {
-        UFO_STAT("claim.lost", 1);
-        return false;  // already claimed this phase
-      }
-      if (slots_[id].compare_exchange_weak(cur, want,
-                                           std::memory_order_acq_rel)) {
-        UFO_STAT("claim.won", 1);
-        return true;
-      }
-      UFO_STAT("claim.cas_retries", 1);
-    }
-  }
-
-  // Holder of `id`'s claim this phase, or kUnclaimed. Safe concurrently with
-  // claims (a racing claim may or may not be visible, as with any snapshot
-  // read); exact after a phase barrier.
-  uint32_t owner_of(size_t id) const {
-    uint64_t cur = slots_[id].load(std::memory_order_relaxed);
-    return (cur >> 32) == epoch_ ? static_cast<uint32_t>(cur) : kUnclaimed;
-  }
-
-  size_t memory_bytes() const {
-    return sizeof(*this) + slots_.size() * sizeof(std::atomic<uint64_t>);
-  }
-
- private:
-  std::vector<std::atomic<uint64_t>> slots_;
-  uint64_t epoch_ = 0;  // low 32 bits of slots hold the owner, high the epoch
-};
-
 }  // namespace ufo::par

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <limits>
 
+#include "core/capabilities.h"
 #include "seq/topology_tree.h"
 
 namespace ufo::seq {
@@ -192,12 +193,6 @@ size_t TopologyTree::subtree_size(Vertex v, Vertex p) const {
   return subtree_agg(v, p, "subtree_size").size;
 }
 
-// Returns the vertex at hop distance k from `from` on the path from `from`
-// to `to` (0 <= k <= path_length). O(log^2 n): one O(log) distance query per
-// descent level.
-static Vertex path_select(const TopologyTree& t, Vertex from, Vertex to,
-                          int64_t k);
-
 Vertex TopologyTree::lca(Vertex u, Vertex v, Vertex r) const {
   // The LCA of u and v w.r.t. root r is the meeting vertex of the three
   // pairwise paths; it sits at hop (d(u,v) + d(u,r) - d(v,r)) / 2 from u on
@@ -208,37 +203,7 @@ Vertex TopologyTree::lca(Vertex u, Vertex v, Vertex r) const {
   int64_t dur = path_length(u, r);
   int64_t dvr = path_length(v, r);
   int64_t k = (duv + dur - dvr) / 2;
-  return path_select(*this, u, v, k);
-}
-
-static Vertex path_select(const TopologyTree& t, Vertex from, Vertex to,
-                          int64_t k) {
-  // Walk down one edge of the u--v path at a time is O(D); instead descend
-  // greedily: at each step, test whether the target is before or after the
-  // next "milestone" vertex (a merge endpoint) using distance queries.
-  // Simpler robust implementation: binary descent via neighbor stepping is
-  // unavailable, so we use the distance characterization directly: the
-  // target m is the unique vertex with d(from,m) == k && d(m,to) == D - k
-  // on the path; we find it by walking from `from` along merge endpoints.
-  Vertex cur = from;
-  int64_t remaining = k;
-  while (remaining > 0) {
-    // The merge edge (a,b) of the LCA cluster of (cur, to) lies on the
-    // cur--to path; each round the subpath lies strictly inside a child
-    // cluster, so there are O(log n) rounds.
-    Vertex a = kNoVertex, b = kNoVertex;
-    t.path_milestone(cur, to, &a, &b);
-    int64_t da = (a == cur) ? 0 : t.path_length(cur, a);
-    if (remaining < da) {
-      to = a;  // target strictly inside [cur, a)
-      continue;
-    }
-    if (remaining == da) return a;
-    if (remaining == da + 1) return b;
-    cur = b;
-    remaining -= da + 1;
-  }
-  return cur;
+  return core::path_select(*this, u, v, k);
 }
 
 // Exposes the merge edge (a,b) of the LCA cluster of u and v: a on u's
@@ -329,10 +294,12 @@ Vertex TopologyTree::component_center(Vertex v) const {
     int64_t fa = side_far(ac, sa, pc.merge_u);
     int64_t fb = side_far(bc, sb, pc.merge_v);
     // Descend toward the deeper side; compute the child's ext values.
-    const Cluster& go = fa >= fb ? ac : bc;
-    uint32_t goid = fa >= fb ? A : B;
-    Vertex ge = fa >= fb ? pc.merge_u : pc.merge_v;
-    int64_t other_far = fa >= fb ? fb : fa;
+    // fa == fb makes both merge endpoints centers; the smaller id wins.
+    bool go_a = fa > fb || (fa == fb && pc.merge_u < pc.merge_v);
+    const Cluster& go = go_a ? ac : bc;
+    uint32_t goid = go_a ? A : B;
+    Vertex ge = go_a ? pc.merge_u : pc.merge_v;
+    int64_t other_far = go_a ? fb : fa;
     int64_t next[2] = {INT64_MIN / 4, INT64_MIN / 4};
     for (int i = 0; i < 2; ++i) {
       if (go.bv[i] == kNoVertex) continue;

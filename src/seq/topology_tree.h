@@ -75,7 +75,7 @@ class TopologyTree {
   // u != v, connected (else: message and abort).
   void path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const;
   int64_t component_diameter(Vertex v) const;
-  Vertex component_center(Vertex v) const;
+  Vertex component_center(Vertex v) const;  // of two centers, the smaller id
   Vertex component_median(Vertex v) const;
   int64_t nearest_marked_distance(Vertex v) const;  // -1 if none
 

@@ -171,12 +171,7 @@ void UfoTree::edge_walk(Vertex u, Vertex v, Weight w, bool insert) {
       adj_remove(a, b);
       adj_remove(b, a);
     }
-    // Refresh immediately (the walk is bottom-up, so children are final):
-    // reclustering reads these clusters' boundary slots before the dirty
-    // flush would get to them.
-    recompute_aggregates(a);
-    recompute_aggregates(b);
-    mark_dirty(a);  // ancestors above the walk still need refreshing
+    mark_dirty(a);
     mark_dirty(b);
     a = hot_[a].parent;
     b = hot_[b].parent;
@@ -210,10 +205,8 @@ void UfoTree::update(std::span<const Update> batch) {
   // height. (The survival guards in delete_ancestors consequently see
   // post-cut degrees, which also retires merges whose center degraded
   // below degree 3.)
-  batch_deleting_ = true;
   for (const Update& up : batch)
     if (up.is_delete) edge_walk(up.u, up.v, 0, /*insert=*/false);
-  batch_deleting_ = false;
   // Phase 2: one ancestor-deletion walk per distinct endpoint.
   endpoints_.clear();
   for (const Update& up : batch) {
@@ -227,14 +220,10 @@ void UfoTree::update(std::span<const Update> batch) {
   // Phase 3: insert new edges along the surviving chains.
   for (const Update& up : batch)
     if (!up.is_delete) edge_walk(up.u, up.v, up.w, /*insert=*/true);
-  // Phase 4: leaf aggregates (boundary slots in particular) must be current
-  // before reclustering reads them; higher-level survivors keep their
-  // boundary vertex and are refreshed at flush_dirty(). Then repair drifted
-  // merges and root the chain tops: the surviving top of each chain is
-  // parentless, and with its degree changed it must participate in
-  // reclustering (e.g. a preserved tree-root cluster that now has an edge
-  // to the other tree).
-  for (Vertex v : endpoints_) refresh_leaf(leaf_id(v));
+  // Phase 4: repair drifted merges and root the chain tops: the surviving
+  // top of each chain is parentless, and with its degree changed it must
+  // participate in reclustering (e.g. a preserved tree-root cluster that
+  // now has an edge to the other tree).
   for (Vertex v : endpoints_) {
     for (uint32_t c = hot_[leaf_id(v)].parent; c != 0;) {
       uint32_t up = hot_[c].parent;
@@ -243,7 +232,9 @@ void UfoTree::update(std::span<const Update> batch) {
     }
   }
   for (Vertex v : endpoints_) add_root(tree_root(v));
-  // Phase 5: one shared level-synchronous reclustering.
+  // Phase 5: one shared level-synchronous reclustering, then the one
+  // aggregate pass. Every phase above only marks clusters dirty; the
+  // edge walks mark both endpoint leaves.
   recluster();
   flush_dirty();
 }
@@ -273,7 +264,6 @@ void UfoTree::recluster() {
    // (rebuild requires every neighbor to have a parent).
    while (!roots_[lvl].empty()) {
     std::vector<uint32_t> changed;
-    std::vector<uint32_t> agg_only;  // recompute aggregates, no rebuild
     while (!roots_[lvl].empty()) {
     std::vector<uint32_t> batch = std::move(roots_[lvl]);
     roots_[lvl].clear();
@@ -371,12 +361,9 @@ void UfoTree::recluster() {
           assert(hot_[py].center_child == y);
           delete_ancestors(py);  // may or may not detach py
           add_child(py, x);
-          if (hot_[py].parent == 0) {
-            agg_only.push_back(py);  // a rake's edge is internal: the
-            add_root(py);            // parent's adjacency is unchanged
-          } else {
-            mark_dirty(py);  // attached chain gains x's content
-          }
+          mark_dirty(py);  // py gains x's content; a rake's edge is
+                           // internal, so py's adjacency is unchanged
+          if (hot_[py].parent == 0) add_root(py);
           merged = true;
         } else if (hot_[y].parent == 0) {
           assert(dy <= 2 && "phase A handles high-degree roots");
@@ -404,32 +391,25 @@ void UfoTree::recluster() {
     std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
     std::vector<uint32_t> touched;
-    for (uint32_t p : changed)
-      if (alive(p)) rebuild_adjacency(p, &touched);
+    for (uint32_t p : changed) {
+      if (!alive(p)) continue;
+      rebuild_adjacency(p, &touched);
+      mark_dirty(p);
+    }
     // Attached survivors whose adjacency was touched may have gained or
     // lost a boundary vertex — possibly invalidating their role in their
-    // parent's merge (degree drift). Repair first, then refresh them in the
-    // same pass so the next level reads current slot values; their
-    // ancestors are refreshed through the dirty set.
+    // parent's merge (degree drift), so repair them.
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     for (uint32_t q : touched) repair(q);
     for (uint32_t q : touched) {
+      if (!alive(q)) continue;
+      mark_dirty(q);
       // A parentless touched cluster (e.g. a completed tree root that just
       // gained a propagated edge) must recluster at its own level.
-      if (alive(q) && hot_[q].parent == 0) add_root(q);
-      changed.push_back(q);
+      if (hot_[q].parent == 0) add_root(q);
     }
-    for (uint32_t q : agg_only) changed.push_back(q);
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
     UFO_STAT("seq.recluster.changed", changed.size());
-    for (uint32_t p : changed) {
-      if (alive(p)) {
-        recompute_aggregates(p);
-        mark_dirty(p);
-      }
-    }
    }
    // A repair below the current level re-roots clusters there; rewind.
    for (size_t back = 0; back <= lvl; ++back) {
@@ -470,16 +450,36 @@ void UfoTree::rebuild_adjacency(uint32_t p, std::vector<uint32_t>* touched) {
   }
 }
 
+// The only place seq updates compute aggregates: a bottom-up pass over
+// per-level buckets of dirty clusters. Each is recomputed once, after every
+// dirty cluster below it; its cached entry in a superunary parent's rake
+// index is refreshed once (rake_index_add may have cached it from a stale
+// record mid-batch; the refresh removes exactly that and re-caches); and
+// the parent is queued once, one level up.
 void UfoTree::flush_dirty() {
-  if (dirty_.empty()) return;
-  std::sort(dirty_.begin(), dirty_.end(), [&](uint32_t a, uint32_t b) {
-    return hot_[a].level < hot_[b].level;
-  });
   for (uint32_t c : dirty_) {
     if (!alive(c)) continue;
-    recompute_chain(c);
+    size_t lvl = static_cast<size_t>(hot_[c].level);
+    if (levels_.size() <= lvl) levels_.resize(lvl + 1);
+    levels_[lvl].push_back(c);
   }
   dirty_.clear();
+  for (size_t l = 0; l < levels_.size(); ++l) {
+    if (levels_[l].empty()) continue;
+    // Grow before taking a reference: growth moves the buckets.
+    if (levels_.size() == l + 1) levels_.emplace_back();
+    std::vector<uint32_t>& items = levels_[l];
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+    for (uint32_t c : items) {
+      recompute_aggregates(c);
+      uint32_t p = hot_[c].parent;
+      if (p == 0) continue;
+      if (rake_indexed(p, c)) rake_index_refresh(p, c);
+      levels_[l + 1].push_back(p);
+    }
+    items.clear();
+  }
 }
 
 }  // namespace ufo::seq

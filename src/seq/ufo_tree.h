@@ -83,6 +83,7 @@ class UfoTree : public core::UfoCore {
   // Update-scoped scratch.
   std::vector<std::vector<uint32_t>> roots_;
   std::vector<uint32_t> dirty_;
+  std::vector<std::vector<uint32_t>> levels_;  // flush_dirty's buckets
   std::vector<Vertex> endpoints_;  // distinct endpoints of the batch
 };
 

@@ -112,6 +112,34 @@ TEST(TopologyTree, DiameterOnSyntheticShapes) {
   }
 }
 
+// A tree of odd diameter has two adjacent centers. Like RefForest and the
+// UFO backends, the topology tree returns the smaller id, whatever shape its
+// contraction took.
+TEST(TopologyTree, CenterTieGoesToSmallerId) {
+  for (uint64_t seed = 0; seed < 50; ++seed) {
+    const size_t n = 200 + 7 * seed;
+    EdgeList edges = gen::random_degree3(n, seed);
+    util::shuffle(edges, seed + 100);
+    TopologyTree t(n);
+    RefForest ref(n);
+    for (const Edge& e : edges) {
+      t.link(e.u, e.v, e.w);
+      ref.link(e.u, e.v, e.w);
+    }
+    for (int round = 0; round < 3; ++round) {
+      for (Vertex u = 0; u < n; u += 61)
+        ASSERT_EQ(t.component_center(u), ref.component_center(u))
+            << "n " << n << " seed " << seed << " round " << round;
+      // Split off a few subtrees and check the pieces.
+      for (int i = 0; i < 3; ++i) {
+        t.cut(edges.back().u, edges.back().v);
+        ref.cut(edges.back().u, edges.back().v);
+        edges.pop_back();
+      }
+    }
+  }
+}
+
 TEST(TopologyTree, CenterAndMedianAreOptimal) {
   auto edges = gen::random_degree3(120, 7);
   TopologyTree t(120);

@@ -3,10 +3,12 @@
 // inputs (stars, dandelions, preferential attachment) with no ternarization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
+#include "obs/metrics.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 
@@ -291,6 +293,36 @@ TEST(UfoTree, BuildAndDestroyAllSyntheticInputs) {
     for (Vertex v = 1; v < input.n; ++v)
       ASSERT_FALSE(t.connected(0, v)) << input.name;
   }
+}
+
+// An update recomputes each cluster it dirtied once, in one bottom-up flush,
+// so single updates average O(height) recomputes (2 x height + O(1) is the
+// ROADMAP item 4 target). Reads the core.recompute counter, so it runs only
+// in an instrumented build.
+TEST(UfoTree, RecomputesPerUpdateWithinTwiceHeight) {
+#if defined(UFO_OBSERVABILITY) && UFO_OBSERVABILITY
+  constexpr size_t n = size_t{1} << 12;
+  EdgeList ins = gen::random_unbounded(n, 21);
+  EdgeList del = ins;
+  util::shuffle(ins, 22);
+  util::shuffle(del, 23);
+  UfoTree t(n);
+  const obs::Counter& recomputes =
+      obs::MetricsRegistry::instance().counter("core.recompute");
+  const int64_t before = recomputes.total();
+  for (const Edge& e : ins) t.link(e.u, e.v, e.w);
+  size_t height = 0;
+  for (Vertex v = 0; v < n; ++v) height = std::max(height, t.height(v));
+  for (const Edge& e : del) t.cut(e.u, e.v);
+  const double per_update =
+      static_cast<double>(recomputes.total() - before) / (2.0 * ins.size());
+  // Every update recomputes at least its two endpoint leaves.
+  EXPECT_GE(per_update, 2.0);
+  EXPECT_LE(per_update, 2.0 * static_cast<double>(height) + 4)
+      << "height " << height;
+#else
+  GTEST_SKIP() << "needs -DUFO_OBSERVABILITY=ON (reads core.recompute)";
+#endif
 }
 
 TEST(UfoTree, MemoryReported) {
