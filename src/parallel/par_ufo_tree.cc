@@ -18,6 +18,44 @@
 
 namespace ufo::par {
 
+namespace {
+
+// Items per block of the tag passes: a pass over at most one block runs
+// inline (parallel_for forks from two items up).
+constexpr size_t kBlock = 2048;
+
+// The elements of v that satisfy pred (called once on each), in order: one
+// serial pass over a single block, else a flagging and a writing pass per
+// block. The file's one order-preserving pack.
+template <class T, class Pred>
+std::vector<T> pack_if(const std::vector<T>& v, Pred&& pred) {
+  size_t n = v.size(), nb = (n + kBlock - 1) / kBlock;
+  if (nb <= 1) {
+    std::vector<T> out;
+    out.reserve(n);
+    for (const T& x : v)
+      if (pred(x)) out.push_back(x);
+    return out;
+  }
+  std::vector<uint8_t> keep(n);
+  std::vector<size_t> off(nb);
+  parallel_for(0, nb, [&](size_t b) {
+    size_t cnt = 0;
+    for (size_t i = b * kBlock; i < std::min(n, b * kBlock + kBlock); ++i)
+      cnt += keep[i] = pred(v[i]);
+    off[b] = cnt;
+  });
+  std::vector<T> out(scan_exclusive(off));
+  parallel_for(0, nb, [&](size_t b) {
+    size_t at = off[b];
+    for (size_t i = b * kBlock; i < std::min(n, b * kBlock + kBlock); ++i)
+      if (keep[i]) out[at++] = v[i];
+  });
+  return out;
+}
+
+}  // namespace
+
 UfoTree::UfoTree(size_t n, core::Aggregates a) : core::UfoCore(n, a) {
   ensure_scratch();
 }
@@ -52,7 +90,7 @@ void UfoTree::ensure_scratch() {
   size_t n = pool_size();
   if (state_.size() < n) state_.resize(n, 0);
   if (proposal_.size() < n) proposal_.resize(n, 0);
-  if (doomed_.size() < n) doomed_.resize(n, 0);
+  if (flags_.size() < n) flags_.resize(n, 0);
 }
 
 void UfoTree::set_role(uint32_t c, uint8_t role) {
@@ -60,9 +98,75 @@ void UfoTree::set_role(uint32_t c, uint8_t role) {
 }
 
 uint8_t UfoTree::role_of(uint32_t c) const {
-  uint64_t s = state_[c];
+  uint32_t s = state_[c];
   return (s >> 3) == round_ ? static_cast<uint8_t>(s & 7)
                             : static_cast<uint8_t>(kNone);
+}
+
+uint32_t UfoTree::new_epoch() {
+  if (epoch_ == kMaxEpoch) {
+    // Wrap: renumber the current round's roles to epoch 1, drop every
+    // other tag.
+    parallel_for(0, state_.size(), [&](size_t c) {
+      uint32_t s = state_[c];
+      state_[c] = (s >> 3) == round_ ? (uint32_t{1} << 3) | (s & 7) : 0;
+    });
+    round_ = epoch_ = 1;
+  }
+  return ++epoch_;
+}
+
+bool UfoTree::claim(uint32_t c, uint32_t epoch) {
+  uint32_t tag = epoch << 3;
+  std::atomic_ref<uint32_t> s(state_[c]);
+  return s.load(std::memory_order_relaxed) != tag &&
+         s.exchange(tag, std::memory_order_relaxed) != tag;
+}
+
+template <class Keep>
+std::vector<uint32_t> UfoTree::unique_if(const std::vector<uint32_t>& v,
+                                         Keep&& keep) {
+  uint32_t epoch = new_epoch();
+  return pack_if(v, [&](uint32_t c) { return keep(c) && claim(c, epoch); });
+}
+
+template <class KeyOf>
+UfoTree::Groups UfoTree::group_by(size_t n, KeyOf&& key_of) {
+  Groups g;
+  // g.at holds each item's key until the last pass lays the groups out.
+  g.at.resize(n);
+  parallel_for(0, n, [&](size_t i) { g.at[i] = key_of(i); }, kBlock);
+  g.keys = unique_if(g.at, [](uint32_t) { return true; });
+  size_t ng = g.keys.size();
+  parallel_for(
+      0, ng, [&](size_t j) { proposal_[g.keys[j]] = static_cast<uint32_t>(j); },
+      kBlock);
+  // Count each group's items, taking each item's rank in its group, then
+  // turn the ranks into positions.
+  g.start.assign(ng + 1, 0);
+  std::vector<uint32_t> pos(n);
+  parallel_for(
+      0, n,
+      [&](size_t i) {
+        pos[i] = std::atomic_ref<uint32_t>(g.start[proposal_[g.at[i]]])
+                     .fetch_add(1, std::memory_order_relaxed);
+      },
+      kBlock);
+  scan_exclusive(g.start);
+  parallel_for(
+      0, n, [&](size_t i) { pos[i] += g.start[proposal_[g.at[i]]]; }, kBlock);
+  parallel_for(
+      0, n, [&](size_t i) { g.at[pos[i]] = static_cast<uint32_t>(i); },
+      kBlock);
+  return g;
+}
+
+void UfoTree::queue(uint32_t c) {
+  if (flags_[c] != 0) return;  // already queued, or doomed
+  flags_[c] = kQueued;
+  size_t lvl = static_cast<size_t>(hot_[c].level);
+  if (dirty_.size() <= lvl) dirty_.resize(lvl + 1);
+  dirty_[lvl].push_back(c);
 }
 
 void UfoTree::root_into_frontier(uint32_t c) {
@@ -78,7 +182,7 @@ void UfoTree::root_into_frontier(uint32_t c) {
 // surviving post-teardown chains, whose clusters all kept degree >= 3
 // through the guard and therefore attach the new projections at their
 // single boundary vertex. Walks are read-only and parallel; the emitted
-// (cluster, op) list is semisorted so one task owns each touched cluster.
+// (cluster, op) list is grouped so one task owns each touched cluster.
 void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
   size_t m = ops.size();
   // Pass 1: per-update walk length.
@@ -112,36 +216,33 @@ void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
 // append, erases compact the list once against the sorted targets (so k
 // erasures against one high-degree cluster cost O(degree + k)).
 std::vector<uint32_t> UfoTree::apply_adjacency(
-    std::vector<std::pair<uint32_t, Adj>>& ops, bool insert) {
-  auto groups = group_by_key(ops);
-  parallel_for(0, groups.size(), [&](size_t g) {
-    auto [begin, end] = groups[g];
-    uint32_t c = ops[begin].first;
+    const std::vector<std::pair<uint32_t, Adj>>& ops, bool insert) {
+  Groups g = group_by(ops.size(), [&](size_t i) { return ops[i].first; });
+  parallel_for(0, g.keys.size(), [&](size_t j) {
+    uint32_t c = g.keys[j];
+    uint32_t begin = g.start[j], end = g.start[j + 1];
     if (insert) {
-      nbrs_reserve(c, hot_[c].nbrs.size + static_cast<uint32_t>(end - begin));
-      for (size_t i = begin; i < end; ++i) {
-        assert(!adj_contains(c, ops[i].second.nbr) &&
-               "adjacency entry already present");
-        nbrs_push(c, ops[i].second);
+      nbrs_reserve(c, hot_[c].nbrs.size + (end - begin));
+      for (uint32_t i = begin; i < end; ++i) {
+        const Adj& a = ops[g.at[i]].second;
+        assert(!adj_contains(c, a.nbr) && "adjacency entry already present");
+        nbrs_push(c, a);
       }
     } else {
       std::vector<uint32_t> targets(end - begin);
-      for (size_t i = begin; i < end; ++i)
-        targets[i - begin] = ops[i].second.nbr;
+      for (uint32_t i = begin; i < end; ++i)
+        targets[i - begin] = ops[g.at[i]].second.nbr;
       std::sort(targets.begin(), targets.end());
       adj_remove_batch(c, targets);
     }
   });
-  std::vector<uint32_t> touched(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g)
-    touched[g] = ops[groups[g].first].first;
-  dirty_.insert(dirty_.end(), touched.begin(), touched.end());
-  return touched;
+  for (uint32_t c : g.keys) queue(c);
+  return std::move(g.keys);
 }
 
 // Level-synchronous concurrent DeleteAncestors (Algorithm 1 run one level
 // per round across every walk at once). Tokens carry the cluster the walk
-// just left; converging walks are merged by semisorting on the shared
+// just left; converging walks are merged by grouping on the shared
 // parent, so each parent is decided by exactly one task with the full set
 // of its walk children in view. Low-degree/low-fanout parents are deleted
 // (children re-rooted into the frontier); surviving high-degree/high-fanout
@@ -162,16 +263,13 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
       if (hot_[t.child].parent == 0 && !t.deleted)
         root_into_frontier(t.child);
     }
-    std::vector<Token> rest = filter(
+    std::vector<Token> rest = pack_if(
         toks, [&](const Token& t) { return hot_[t.child].parent != 0; });
     if (rest.empty()) break;
 
-    std::vector<std::pair<uint32_t, uint32_t>> byp(rest.size());
-    parallel_for(0, rest.size(), [&](size_t i) {
-      byp[i] = {hot_[rest[i].child].parent, static_cast<uint32_t>(i)};
-    });
-    auto groups = group_by_key(byp);
-    size_t ngroups = groups.size();
+    Groups byp = group_by(
+        rest.size(), [&](size_t i) { return hot_[rest[i].child].parent; });
+    size_t ngroups = byp.keys.size();
     UFO_STAT_HIST("par.teardown.level_width", rest.size());
     UFO_STAT("par.teardown.visited", ngroups);
     std::vector<Token> next(ngroups);
@@ -179,13 +277,13 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
     std::vector<uint8_t> died(ngroups, 0);
 
     parallel_for(0, ngroups, [&](size_t g) {
-      auto [begin, end] = groups[g];
-      uint32_t cur = byp[begin].first;
+      uint32_t begin = byp.start[g], end = byp.start[g + 1];
+      uint32_t cur = byp.keys[g];
       Hot& ch = hot_[cur];
       // Detach walk children that were deleted at the previous level.
       bool center_gone = false;
-      for (size_t i = begin; i < end; ++i) {
-        const Token& t = rest[byp[i].second];
+      for (uint32_t i = begin; i < end; ++i) {
+        const Token& t = rest[byp.at[i]];
         if (!t.deleted) continue;
         if (ch.center_child == t.child) center_gone = true;
         remove_child(cur, t.child);
@@ -205,8 +303,8 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
         if (center_gone) {
           deletable = true;
         } else {
-          for (size_t i = begin; i < end && !deletable; ++i) {
-            const Token& t = rest[byp[i].second];
+          for (uint32_t i = begin; i < end && !deletable; ++i) {
+            const Token& t = rest[byp.at[i]];
             if (!t.deleted && t.child == ch.center_child &&
                 hot_[t.child].nbrs.size <= 2)
               deletable = true;
@@ -219,8 +317,8 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
         // shedding a child with external edges would leave the survivor
         // holding stale projections of content that left it. Force-delete
         // instead — the generic doomed-adjacency cleanup handles it.
-        for (size_t i = begin; i < end && !deletable; ++i) {
-          const Token& t = rest[byp[i].second];
+        for (uint32_t i = begin; i < end && !deletable; ++i) {
+          const Token& t = rest[byp.at[i]];
           if (t.deleted || hot_[t.child].nbrs.size > 2) continue;
           for (const Adj& a : nbrs(t.child)) {
             // Atomic read: a concurrent group deleting the neighbor's
@@ -237,7 +335,7 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
         }
       }
       if (deletable) {
-        doomed_[cur] = 1;
+        flags_[cur] |= kDoomed;
         died[g] = 1;
         for (uint32_t kid : children(cur)) {
           std::atomic_ref<uint32_t>(hot_[kid].parent)
@@ -246,8 +344,8 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
         }
         next[g] = {cur, true};
       } else {
-        for (size_t i = begin; i < end; ++i) {
-          const Token& t = rest[byp[i].second];
+        for (uint32_t i = begin; i < end; ++i) {
+          const Token& t = rest[byp.at[i]];
           if (t.deleted) continue;
           uint32_t c = t.child;
           if (hot_[c].nbrs.size > 2) continue;  // stays attached
@@ -260,14 +358,15 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
       }
     });
 
-    // Phase boundary: collect re-rooted clusters, doomed ids, and dirt.
+    // Phase boundary: collect re-rooted clusters and doomed ids, and queue
+    // the survivors.
     std::vector<uint32_t> newly_doomed;
     for (size_t g = 0; g < ngroups; ++g) {
       for (uint32_t c : rooted[g]) root_into_frontier(c);
       if (died[g]) {
         newly_doomed.push_back(next[g].child);
       } else {
-        dirty_.push_back(next[g].child);
+        queue(next[g].child);
       }
     }
     doomed_list_.insert(doomed_list_.end(), newly_doomed.begin(),
@@ -280,7 +379,7 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
     std::vector<std::pair<uint32_t, Adj>> cleanup;
     for (uint32_t d : newly_doomed) {
       for (const Adj& a : nbrs(d))
-        if (!doomed_[a.nbr]) cleanup.emplace_back(a.nbr, Adj{d});
+        if (!doomed(a.nbr)) cleanup.emplace_back(a.nbr, Adj{d});
     }
     std::vector<uint32_t> dropped = apply_adjacency(cleanup, /*insert=*/false);
     revalidate_.insert(revalidate_.end(), dropped.begin(), dropped.end());
@@ -294,7 +393,7 @@ void UfoTree::force_detach(uint32_t c) {
   remove_child(p, c);
   hot_[c].parent = 0;
   root_into_frontier(c);
-  dirty_.push_back(p);
+  queue(p);
 }
 
 bool UfoTree::detach(const std::vector<DetachRequests>& requests) {
@@ -305,24 +404,20 @@ bool UfoTree::detach(const std::vector<DetachRequests>& requests) {
   }
   if (walk.empty() && forced.empty()) return false;
   auto attached = [&](uint32_t c) {
-    return alive(c) && !doomed_[c] && hot_[c].parent != 0;
+    return alive(c) && !doomed(c) && hot_[c].parent != 0;
   };
-  remove_duplicates(forced);
-  for (uint32_t c : forced)
-    if (attached(c)) force_detach(c);
-  remove_duplicates(walk);
-  walk = filter(walk, attached);
+  // Force-detaching one cluster leaves every other one's parent as it was.
+  for (uint32_t c : unique_if(forced, attached)) force_detach(c);
+  walk = unique_if(walk, attached);
   if (!walk.empty()) teardown_pass(walk);
   return true;
 }
 
 void UfoTree::drain_revalidate() {
   while (!revalidate_.empty()) {
-    std::vector<uint32_t> check = std::move(revalidate_);
+    std::vector<uint32_t> check = unique_if(
+        revalidate_, [&](uint32_t q) { return alive(q) && !doomed(q); });
     revalidate_.clear();
-    remove_duplicates(check);
-    check = filter(check,
-                   [&](uint32_t q) { return alive(q) && !doomed_[q]; });
     // Collect broken participants. Walk targets (degree <= 2) go through
     // the guarded teardown; a high-degree cluster whose rake role broke is
     // detached directly. Parentless clusters are skipped — the frontier
@@ -360,9 +455,9 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
   UFO_STAT("par.batch.updates", batch.size());
   ensure_scratch();
   std::vector<Update> dels =
-      filter(batch, [](const Update& u) { return u.is_delete; });
+      pack_if(batch, [](const Update& u) { return u.is_delete; });
   std::vector<Update> inss =
-      filter(batch, [](const Update& u) { return !u.is_delete; });
+      pack_if(batch, [](const Update& u) { return !u.is_delete; });
   // 1. Deleted edges leave every level of the intact chains first, so the
   //    teardown's survival guards see post-delete degrees (matches seq).
   if (!dels.empty()) {
@@ -377,8 +472,7 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
       leaves[2 * i] = leaf_id(batch[i].u);
       leaves[2 * i + 1] = leaf_id(batch[i].v);
     });
-    remove_duplicates(leaves);
-    teardown_pass(leaves);
+    teardown_pass(unique_if(leaves, [](uint32_t) { return true; }));
     drain_revalidate();
   }
   // 3. Inserted edges join every level of the surviving chains.
@@ -391,7 +485,8 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
     UFO_SPAN("par.recluster");
     contract_frontier();
   }
-  // 5. Refresh every surviving ancestor's aggregates bottom-up.
+  // 5. Compute the aggregates of every queued cluster and its ancestors,
+  //    bottom-up, once each.
   flush_dirty();
   // 6. Recycle the doomed clusters: parallel record reset, then one serial
   //    per-level slab splice at the phase boundary (core::recycle_clusters).
@@ -399,7 +494,7 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
     UFO_SPAN("par.recycle");
     UFO_STAT("par.recycled", doomed_list_.size());
     parallel_for(0, doomed_list_.size(),
-                 [&](size_t i) { doomed_[doomed_list_[i]] = 0; });
+                 [&](size_t i) { flags_[doomed_list_[i]] = 0; });
     recycle_clusters(doomed_list_);
     doomed_list_.clear();
   }
@@ -421,25 +516,26 @@ void UfoTree::contract_frontier() {
   }
 }
 
-// Everything entering a round gets fresh aggregates: shed survivors lost a
-// child, frontier leaves changed adjacency, and the previous round's new
-// parents get their first ones here (superunary parents build their rake
-// index).
-std::vector<uint32_t> UfoTree::admit(int32_t lvl, std::vector<uint32_t> raw) {
-  remove_duplicates(raw);
-  raw = filter(raw, [&](uint32_t c) {
-    return alive(c) && !doomed_[c] && hot_[c].parent == 0 &&
+// Everything entering a round needs fresh aggregates: shed survivors lost
+// a child, frontier leaves changed adjacency, and the previous round's new
+// parents have none yet. The flush computes them; contraction reads only
+// structure (adjacency, parents, children), and a rake-attach that caches a
+// contribution computed from stale aggregates gets it replaced when the
+// flush reaches the rake.
+std::vector<uint32_t> UfoTree::admit(int32_t lvl,
+                                     const std::vector<uint32_t>& raw) {
+  std::vector<uint32_t> in = unique_if(raw, [&](uint32_t c) {
+    return alive(c) && !doomed(c) && hot_[c].parent == 0 &&
            hot_[c].level == lvl;
   });
-  parallel_for(0, raw.size(),
-               [&](size_t i) { recompute_aggregates(raw[i]); });
-  return filter(raw, [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+  for (uint32_t c : in) queue(c);
+  return pack_if(in, [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
 }
 
 void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   UFO_STAT("par.recluster.rounds", 1);
   ensure_scratch();
-  std::vector<uint32_t> active = admit(lvl, std::move(raw));
+  std::vector<uint32_t> active = admit(lvl, raw);
   if (active.empty()) return;  // completed tree roots only
 
   // Phase 1: detach fixpoint. Two obligations against the surviving
@@ -482,17 +578,16 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
       fresh = std::move(frontier_[lvl]);
       frontier_[lvl].clear();
     }
-    fresh = admit(lvl, std::move(fresh));
+    fresh = admit(lvl, fresh);
     if (fresh.empty()) break;  // targets were all shed without new roots
     active.insert(active.end(), fresh.begin(), fresh.end());
-    remove_duplicates(active);
-    active = filter(active, [&](uint32_t c) {
-      return hot_[c].parent == 0 && !doomed_[c];
+    active = unique_if(active, [&](uint32_t c) {
+      return hot_[c].parent == 0 && !doomed(c);
     });
   }
 
   size_t m = active.size();
-  ++round_;
+  round_ = new_epoch();
 
   // Phase 2: roles.
   parallel_for(0, m, [&](size_t i) { set_role(active[i], kFree); });
@@ -536,7 +631,7 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // salts pair an expected constant fraction per round.
   std::vector<uint32_t> pairs;  // anchors; partner = proposal_[anchor]
   std::vector<uint32_t> matchable =
-      filter(active, [&](uint32_t c) { return role_of(c) == kFree; });
+      pack_if(active, [&](uint32_t c) { return role_of(c) == kFree; });
   while (!matchable.empty()) {
     UFO_STAT("par.recluster.match_rounds", 1);
     uint64_t salt = util::hash64(round_salt_++);
@@ -556,7 +651,7 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
       }
       proposal_[c] = best;  // 0 = no eligible neighbor
     });
-    std::vector<uint32_t> fresh = filter(matchable, [&](uint32_t c) {
+    std::vector<uint32_t> fresh = pack_if(matchable, [&](uint32_t c) {
       uint32_t d = proposal_[c];
       return d != 0 && proposal_[d] == c && c < d;
     });
@@ -568,13 +663,13 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
     });
     pairs.insert(pairs.end(), fresh.begin(), fresh.end());
     matchable =
-        filter(matchable, [&](uint32_t c) { return role_of(c) == kFree; });
+        pack_if(matchable, [&](uint32_t c) { return role_of(c) == kFree; });
   }
 
   std::vector<uint32_t> centers =
-      filter(active, [&](uint32_t c) { return role_of(c) == kCenter; });
+      pack_if(active, [&](uint32_t c) { return role_of(c) == kCenter; });
   std::vector<uint32_t> singles =
-      filter(active, [&](uint32_t c) { return role_of(c) == kFree; });
+      pack_if(active, [&](uint32_t c) { return role_of(c) == kFree; });
   UFO_STAT("par.recluster.centers", centers.size());
   UFO_STAT("par.recluster.pairs", pairs.size());
   UFO_STAT("par.recluster.singletons", singles.size());
@@ -582,16 +677,18 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
 
   // Phase 3a: rake-attach into surviving superunary parents, grouped so one
   // task owns each target parent; add_child puts each rake into the
-  // parent's rake index (this is the star's hot path).
-  std::vector<uint8_t> target_rooted(engaged.size(), 0);
-  std::vector<std::pair<size_t, size_t>> egroups;
+  // parent's rake index (this is the star's hot path) with a contribution
+  // the flush replaces once it has computed the rake. The group keys are
+  // survivors one level up, so their claims leave every role intact.
   if (!engaged.empty()) {
-    egroups = group_by_key(engaged);
-    parallel_for(0, egroups.size(), [&](size_t g) {
-      auto [begin, end] = egroups[g];
-      uint32_t py = engaged[begin].first;
+    Groups eg = group_by(engaged.size(),
+                         [&](size_t i) { return engaged[i].first; });
+    std::vector<uint8_t> target_rooted(eg.keys.size(), 0);
+    parallel_for(0, eg.keys.size(), [&](size_t g) {
+      uint32_t begin = eg.start[g], end = eg.start[g + 1];
+      uint32_t py = eg.keys[g];
       Hot& pyh = hot_[py];
-      uint32_t y = nbrs(engaged[begin].second)[0].nbr;
+      uint32_t y = nbrs(engaged[eg.at[begin]].second)[0].nbr;
       if (pyh.center_child == 0) {
         // A fanout-1 extension of y gains its first rakes: it becomes a
         // high-degree merge centered on y (y kept degree >= 3, so its
@@ -602,14 +699,14 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
         sizes_[py].rake_index_valid = false;
       }
       assert(pyh.center_child == y && "rake-attach target must center y");
-      for (size_t i = begin; i < end; ++i) add_child(py, engaged[i].second);
+      for (uint32_t i = begin; i < end; ++i)
+        add_child(py, engaged[eg.at[i]].second);
       if (pyh.parent == 0) target_rooted[g] = 1;
     });
-    for (size_t g = 0; g < egroups.size(); ++g) {
-      uint32_t py = engaged[egroups[g].first].first;
-      dirty_.push_back(py);
+    for (size_t g = 0; g < eg.keys.size(); ++g) {
+      queue(eg.keys[g]);
       // A parentless target re-contracts at its own level (dedup at round).
-      if (target_rooted[g]) root_into_frontier(py);
+      if (target_rooted[g]) root_into_frontier(eg.keys[g]);
     }
   }
 
@@ -672,58 +769,52 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   std::vector<uint32_t> grown = apply_adjacency(flat, /*insert=*/true);
   revalidate_.insert(revalidate_.end(), grown.begin(), grown.end());
 
-  // Phase 5: the new parents recluster one level up (their aggregates are
-  // computed when they enter that round), and survivors whose degree
+  // Phase 5: the new parents recluster one level up (they are queued for
+  // the flush when they enter that round), and survivors whose degree
   // drifted are rechecked (their detaches land strictly above lvl, so the
   // upward sweep picks them up).
   for (uint32_t p : parents) root_into_frontier(p);
   drain_revalidate();
 }
 
-// Level-synchronous bottom-up refresh of every surviving cluster the batch
-// touched: recompute a level in parallel, patch the touched rake entries in
-// superunary parents (remove uses the cached contribution, add re-caches
-// from the fresh aggregates), then propagate to the parents' level.
+// Drains dirty_ level by level, bottom-up: recompute the level's queued
+// clusters in parallel, replace their cached contributions in superunary
+// parents' rake indexes (one task per parent), then queue the parents one
+// level up. Every queued cluster is recomputed once, after all of its
+// queued descendants, and nowhere else in the batch.
 void UfoTree::flush_dirty() {
-  if (dirty_.empty()) return;
   UFO_SPAN("par.flush");
-  std::vector<uint32_t> all = std::move(dirty_);
-  dirty_.clear();
-  remove_duplicates(all);
-  std::vector<std::vector<uint32_t>> buckets;
-  for (uint32_t c : all) {
-    if (!alive(c) || doomed_[c]) continue;
-    size_t lvl = static_cast<size_t>(hot_[c].level);
-    if (buckets.size() <= lvl) buckets.resize(lvl + 1);
-    buckets[lvl].push_back(c);
-  }
-  for (size_t l = 0; l < buckets.size(); ++l) {
-    std::vector<uint32_t> items = std::move(buckets[l]);
-    remove_duplicates(items);
-    items = filter(items, [&](uint32_t c) {
-      return alive(c) && !doomed_[c] &&
-             hot_[c].level == static_cast<int32_t>(l);
-    });
+  for (size_t l = 0; l < dirty_.size(); ++l) {
+    // Doomed clusters are recycled, flags and all, at the end of the batch.
+    std::vector<uint32_t> items =
+        pack_if(dirty_[l], [&](uint32_t c) { return !doomed(c); });
+    dirty_[l].clear();
     if (items.empty()) continue;
     UFO_STAT("par.flush.clusters", items.size());
-    parallel_for(0, items.size(),
-                 [&](size_t i) { recompute_aggregates(items[i]); });
-    std::vector<std::pair<uint32_t, uint32_t>> stale;  // (parent, rake)
-    for (uint32_t c : items) {
+    parallel_for(0, items.size(), [&](size_t i) {
+      recompute_aggregates(items[i]);
+      flags_[items[i]] = 0;
+    });
+    std::vector<uint32_t> rakes = pack_if(items, [&](uint32_t c) {
       uint32_t p = hot_[c].parent;
-      if (p == 0 || doomed_[p]) continue;
-      if (buckets.size() <= l + 1) buckets.resize(l + 2);
-      buckets[l + 1].push_back(p);
-      if (rake_indexed(p, c)) stale.emplace_back(p, c);
-    }
-    if (!stale.empty()) {
-      auto sgroups = group_by_key(stale);
-      parallel_for(0, sgroups.size(), [&](size_t g) {
-        auto [begin, end] = sgroups[g];
-        for (size_t i = begin; i < end; ++i)
-          rake_index_refresh(stale[i].first, stale[i].second);
-      });
-    }
+      return p != 0 && !doomed(p) && rake_indexed(p, c);
+    });
+    Groups rg = group_by(rakes.size(),
+                         [&](size_t i) { return hot_[rakes[i]].parent; });
+    parallel_for(0, rg.keys.size(), [&](size_t g) {
+      for (uint32_t i = rg.start[g]; i < rg.start[g + 1]; ++i)
+        rake_index_refresh(rg.keys[g], rakes[rg.at[i]]);
+    });
+    std::vector<uint32_t> up(items.size());
+    parallel_for(
+        0, items.size(), [&](size_t i) { up[i] = hot_[items[i]].parent; },
+        kBlock);
+    up = unique_if(up, [&](uint32_t p) { return p != 0 && flags_[p] == 0; });
+    if (up.empty()) continue;
+    parallel_for(0, up.size(), [&](size_t i) { flags_[up[i]] = kQueued; },
+                 kBlock);
+    if (dirty_.size() == l + 1) dirty_.emplace_back();
+    dirty_[l + 1].insert(dirty_[l + 1].end(), up.begin(), up.end());
   }
 }
 

@@ -7,14 +7,14 @@
 //
 //   1. Delete propagation: deleted edges are removed from every level of
 //      the (still intact) endpoint ancestor chains — one parallel walk per
-//      update emits (cluster, neighbor) removal ops, which are semisorted
+//      update emits (cluster, neighbor) removal ops, which are grouped
 //      by cluster and applied with one compaction pass per touched cluster
 //      (so k deletions against one high-degree cluster cost O(degree + k),
 //      not O(degree * k)).
 //   2. Teardown: only the union of the endpoints' ancestor paths is torn
 //      down (the paper's Algorithm 1 guard, run level-synchronously):
 //      walks climb one level per round, converging walks are merged by
-//      semisorting on the parent, low-degree/low-fanout ancestors are
+//      grouping on the parent, low-degree/low-fanout ancestors are
 //      deleted (children re-rooted into a per-level frontier), and
 //      surviving high-degree/high-fanout ancestors merely shed their
 //      low-degree walk child. A batch of k updates therefore costs
@@ -33,16 +33,25 @@
 //      same teardown machinery and raked in.
 //      Detach requests are deduplicated at the phase boundary, so each
 //      target starts one walk however many tasks asked for it.
-//   5. A final level-synchronous flush recomputes the aggregates of every
-//      surviving ancestor bottom-up, refreshing cached rake contributions
-//      in superunary parents along the way.
+//      Reclustering reads only structure: every cluster entering a round
+//      is queued for step 5, and none is recomputed here.
+//   5. A final level-synchronous flush computes the aggregates of every
+//      queued cluster and its surviving ancestors bottom-up, once each,
+//      and replaces their cached contributions in superunary parents'
+//      rake indexes along the way. It is the only aggregate computation
+//      in the batch.
+//
+// Dedupes and groupings of cluster ids use one 32-bit epoch tag per cluster
+// (state_) and proposal_ as the group slot: O(n) passes, no sorts.
 //
 // Affected granularity is the *ancestor path*: a small batch touching a
 // huge component costs O(k * height) instead of the previous
-// whole-component O(n) rebuild, which makes single link()/cut() (batches
-// of one) as cheap as seq::UfoTree's and removes the backend's former
-// latency caveat. Large batches keep the level-synchronous sharing that
-// made the old backend fast on path/pref-attach inputs.
+// whole-component O(n) rebuild, so single link()/cut() (batches of one)
+// cost O(height) like seq::UfoTree's. Their constant is higher: at one
+// worker, linking and then cutting every edge of the fig5 inputs
+// (n = 30000) takes 3.0x seq::UfoTree's time summed over the inputs, and
+// 2.5-4.8x per input (BENCH.md). Large batches keep the level-synchronous
+// sharing that made the old backend fast on path/pref-attach inputs.
 //
 // Determinism: query answers depend only on the update sequence; the
 // concrete cluster ids/shape may vary run to run with thread interleaving,
@@ -82,8 +91,13 @@ class UfoTree : public core::UfoCore {
   void batch_cut(const std::vector<Edge>& edges);
 
  private:
+  friend class UfoTreeTestPeer;
+
+  // Epochs fit in state_ above the three role bits.
+  static constexpr uint32_t kMaxEpoch = (uint32_t{1} << 29) - 1;
+
   // Per-round contraction role of an active cluster. Roles live in state_
-  // tagged with the round number, so attached clusters (whose entries are
+  // tagged with the round's epoch, so attached clusters (whose entries are
   // stale from earlier rounds or batches) never alias an active role.
   enum : uint8_t {
     kNone = 0,   // not active this round
@@ -94,6 +108,11 @@ class UfoTree : public core::UfoCore {
     kEngaged,    // active, rake-attaching into a surviving superunary
     kFresh,      // a parent allocated this round (level above the actives)
   };
+  // flags_ bits.
+  enum : uint8_t {
+    kDoomed = 1,  // torn down; recycled at the end of the batch
+    kQueued = 2,  // in dirty_, waiting for the flush
+  };
 
   // A teardown walk position: the cluster the walk last visited (one level
   // below the cluster about to be examined) and whether it was deleted.
@@ -102,9 +121,38 @@ class UfoTree : public core::UfoCore {
     bool deleted = false;
   };
 
+  // Items grouped by cluster: group g is cluster keys[g], and its item
+  // indices are at[start[g]] .. at[start[g + 1] - 1].
+  struct Groups {
+    std::vector<uint32_t> keys;
+    std::vector<uint32_t> start;
+    std::vector<uint32_t> at;
+  };
+
   void ensure_scratch();
   void set_role(uint32_t c, uint8_t role);
   uint8_t role_of(uint32_t c) const;
+  bool doomed(uint32_t c) const { return flags_[c] & kDoomed; }
+  // A fresh tag epoch, above round_ and every tag written so far. When the
+  // epochs run out, the live round's roles are renumbered to epoch 1 and
+  // every other tag is cleared.
+  uint32_t new_epoch();
+  // Tags c with epoch; true for the one caller that tagged it first.
+  bool claim(uint32_t c, uint32_t epoch);
+  // The clusters of v that satisfy keep, each once, in O(|v|) work: a
+  // cluster's first tag claim under a fresh epoch keeps it. Order follows v
+  // up to which duplicate survives.
+  template <class Keep>
+  std::vector<uint32_t> unique_if(const std::vector<uint32_t>& v, Keep&& keep);
+  // Groups items 0..n-1 by cluster key_of(i) in O(n) work: key claims under
+  // a fresh epoch pick the distinct keys, proposal_ holds each key's group
+  // slot, and a counting pass lays the groups out in `at`, which held the
+  // items' keys until then. The order within a group may vary with thread
+  // timing.
+  template <class KeyOf>
+  Groups group_by(size_t n, KeyOf&& key_of);
+  // Queue c for the flush (once per batch; doomed clusters are skipped).
+  void queue(uint32_t c);
 
   // One task's requests to detach clusters by teardown walk or by force.
   struct DetachRequests {
@@ -116,12 +164,12 @@ class UfoTree : public core::UfoCore {
   // (deletions walk the intact pre-teardown chains; insertions the
   // surviving post-teardown chains).
   void edge_level_ops(const std::vector<Update>& ops, bool insert);
-  // The one grouped adjacency edit: sorts (cluster, entry) ops by cluster
+  // The one grouped adjacency edit: groups (cluster, entry) ops by cluster
   // and gives each cluster's group to one task, which appends the entries
   // (insert) or removes the entries' neighbors (erase). The touched
-  // clusters are added to dirty_ and returned.
+  // clusters are queued for the flush and returned.
   std::vector<uint32_t> apply_adjacency(
-      std::vector<std::pair<uint32_t, Adj>>& ops, bool insert);
+      const std::vector<std::pair<uint32_t, Adj>>& ops, bool insert);
   // Level-synchronous concurrent DeleteAncestors from the start clusters:
   // processes walk tokens one level per round, merging converging walks on
   // their shared parent (the walks only ever ascend, so tokens at mixed
@@ -151,21 +199,27 @@ class UfoTree : public core::UfoCore {
   void contract_frontier();
   void contract_round(int32_t lvl, std::vector<uint32_t> raw);
   // The clusters of raw that may contract at lvl this round: deduped, kept
-  // when alive, not doomed, parentless and at lvl, given fresh aggregates,
+  // when alive, not doomed, parentless and at lvl, queued for the flush,
   // and dropped when they have no edges (completed tree roots).
-  std::vector<uint32_t> admit(int32_t lvl, std::vector<uint32_t> raw);
-  // Level-synchronous bottom-up aggregate refresh of every surviving
-  // cluster touched by the batch (and their ancestors), refreshing cached
-  // rake contributions in superunary parents on the way up.
+  std::vector<uint32_t> admit(int32_t lvl, const std::vector<uint32_t>& raw);
+  // The batch's one aggregate pass: drains dirty_ bottom-up, recomputing
+  // each queued cluster once, refreshing its cached rake contribution in a
+  // superunary parent, and queueing its parent one level up.
   void flush_dirty();
 
-  std::vector<uint64_t> state_;  // (round << 3) | role, see role_of()
-  uint64_t round_ = 0;
-  std::vector<uint32_t> proposal_;   // phase-B proposed partner scratch
-  std::vector<uint8_t> doomed_;      // flagged for recycling at batch end
+  // (epoch << 3) | role: a role in the round whose epoch is round_, or a
+  // unique_if / group_by claim. A claim overwrites a role, so no cluster
+  // holding a role is claimed between Phase 2 and Phase 4 of a round.
+  std::vector<uint32_t> state_;
+  uint32_t epoch_ = 0;  // the last epoch handed out
+  uint32_t round_ = 0;  // the current contraction round's epoch
+  // Phase-B proposed partner of an active cluster, and group_by's group
+  // slot of a key (no key is an active cluster between Phase B and 3b).
+  std::vector<uint32_t> proposal_;
+  std::vector<uint8_t> flags_;  // kDoomed | kQueued
   std::vector<uint32_t> doomed_list_;
   std::vector<std::vector<uint32_t>> frontier_;  // parentless, per level
-  std::vector<uint32_t> dirty_;      // survivors needing aggregate refresh
+  std::vector<std::vector<uint32_t>> dirty_;  // queued for the flush, per level
   std::vector<uint32_t> revalidate_;  // survivors whose adjacency changed
   uint64_t round_salt_ = 0x243f6a8885a308d3ULL;  // pairing round seed
 };

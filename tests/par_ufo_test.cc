@@ -21,12 +21,24 @@
 #include "core/capabilities.h"
 #include "graph/generators.h"
 #include "graph/ref_forest.h"
+#include "obs/metrics.h"
 #include "parallel/par_ufo_tree.h"
 #include "parallel/scheduler.h"
 #include "seq/ufo_tree.h"
 #include "util/random.h"
 
 namespace ufo::par {
+
+// Reads and moves par::UfoTree's tag epoch, so a test can run updates
+// across the epoch wrap without 2^29 of them.
+class UfoTreeTestPeer {
+ public:
+  static uint32_t max_epoch() { return UfoTree::kMaxEpoch; }
+  static uint32_t epoch(const UfoTree& t) { return t.epoch_; }
+  // e must exceed every epoch handed out so far.
+  static void set_epoch(UfoTree& t, uint32_t e) { t.epoch_ = e; }
+};
+
 namespace {
 
 static_assert(core::FullDynamicTree<UfoTree>);
@@ -275,6 +287,217 @@ TEST(ParUfo, CenterTieGoesToSmallerId) {
         s.cut(e.u, e.v);
         ref.cut(e.u, e.v);
       }
+    }
+  }
+}
+
+// Rake-attaches into a surviving superunary parent cache each new rake's
+// contribution before the end-of-batch flush has computed the rake's
+// aggregates; the flush must replace exactly that contribution. Subtrees of
+// a weighted, marked star and dandelion move between the hub and other
+// vertices in batches (cut + re-link in one batch, plain cuts, re-links of
+// cut-off subtrees), so the rakes include clusters built in the same batch,
+// and every batch is audited against RefForest.
+TEST(ParUfo, StaleRakeContributionsRefreshed) {
+  constexpr size_t n = size_t{1} << 10;
+  const std::vector<EdgeList> inputs = {gen::star(n), gen::dandelion(n)};
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    util::SplitMix64 rng(300 + in);
+    UfoTree t(n);
+    RefForest ref(n);
+    for (Vertex v = 0; v < n; ++v) {
+      Weight vw = 1 + static_cast<Weight>(rng.next(20));
+      bool mark = rng.next(16) == 0;
+      t.set_vertex_weight(v, vw);
+      ref.set_vertex_weight(v, vw);
+      t.set_mark(v, mark);
+      ref.set_mark(v, mark);
+    }
+    EdgeList edges = inputs[in];
+    for (Edge& e : edges) e.w = 1 + static_cast<Weight>(rng.next(30));
+    t.batch_link(edges);
+    for (const Edge& e : edges) ref.link(e.u, e.v, e.w);
+    // Every tree rooted (the hub's at the hub): parent[v] is kNoVertex at a
+    // root.
+    std::vector<Vertex> parent(n, kNoVertex);
+    {
+      std::vector<Vertex> order{0};
+      std::vector<uint8_t> seen(n, 0);
+      seen[0] = 1;
+      for (size_t i = 0; i < order.size(); ++i) {
+        for (const Edge& e : edges) {
+          Vertex o = e.u == order[i] ? e.v : e.v == order[i] ? e.u : kNoVertex;
+          if (o == kNoVertex || seen[o]) continue;
+          seen[o] = 1;
+          parent[o] = order[i];
+          order.push_back(o);
+        }
+      }
+    }
+    std::vector<uint8_t> moving(n, 0);
+    // The root of v's tree, or kNoVertex if v or an ancestor is moving.
+    auto settled_root = [&](Vertex v) {
+      for (; parent[v] != kNoVertex; v = parent[v])
+        if (moving[v]) return kNoVertex;
+      return moving[v] ? kNoVertex : v;
+    };
+    for (int round = 0; round < 16; ++round) {
+      // Movers: non-hub vertices with disjoint subtrees. New parents: the
+      // hub (half the time) or a hub-tree vertex outside every moving
+      // subtree, never the old parent.
+      std::vector<Vertex> movers;
+      for (int tries = 0; tries < 400 && movers.size() < 48; ++tries) {
+        Vertex x = 1 + static_cast<Vertex>(rng.next(n - 1));
+        if (settled_root(x) == kNoVertex) continue;
+        bool nested = false;  // x is an ancestor of an earlier mover
+        for (Vertex m : movers)
+          for (Vertex v = parent[m]; v != kNoVertex && !nested; v = parent[v])
+            nested = v == x;
+        if (nested) continue;
+        moving[x] = 1;
+        movers.push_back(x);
+      }
+      std::vector<Update> batch;
+      std::vector<std::pair<Vertex, Vertex>> moved;  // (x, new parent)
+      for (Vertex x : movers) {
+        Vertex old = parent[x];
+        if (old != kNoVertex) {
+          batch.push_back({x, old, 0, true});
+          ref.cut(x, old);
+          parent[x] = kNoVertex;
+          if (rng.next(4) == 0) continue;  // stays cut off this round
+        }
+        Vertex np = 0;
+        while (rng.next(2) == 1) {
+          Vertex y = 1 + static_cast<Vertex>(rng.next(n - 1));
+          if (settled_root(y) == 0) {
+            np = y;
+            break;
+          }
+        }
+        if (np != old) moved.push_back({x, np});  // one update per edge
+      }
+      for (auto [x, np] : moved) {
+        Weight w = 1 + static_cast<Weight>(rng.next(30));
+        batch.push_back({x, np, w, false});
+        ref.link(x, np, w);
+        parent[x] = np;
+      }
+      for (Vertex x : movers) moving[x] = 0;
+      t.batch_update(batch);
+      ASSERT_TRUE(t.check_valid()) << "input " << in << " round " << round;
+      ASSERT_TRUE(t.check_aggregates())
+          << "input " << in << " round " << round;
+      for (int q = 0; q < 24; ++q) {
+        Vertex u = static_cast<Vertex>(rng.next(n));
+        Vertex v = static_cast<Vertex>(rng.next(n));
+        ASSERT_EQ(t.nearest_marked_distance(u), ref.nearest_marked_distance(u))
+            << "input " << in << " round " << round << " u " << u;
+        if (ref.connected(u, v))
+          ASSERT_EQ(t.path_sum(u, v), ref.path_sum(u, v))
+              << "input " << in << " round " << round;
+        if (parent[u] != kNoVertex)
+          ASSERT_EQ(t.subtree_sum(u, parent[u]), ref.subtree_sum(u, parent[u]))
+              << "input " << in << " round " << round << " u " << u;
+      }
+    }
+  }
+}
+
+// par::UfoTree computes aggregates only in its end-of-batch flush, so every
+// recompute is a flushed cluster and a single update recomputes about one
+// cluster per level. Reads the core.recompute and par.flush.clusters
+// counters, so it runs only in an instrumented build.
+TEST(ParUfo, EveryRecomputeIsInTheFlush) {
+#if defined(UFO_OBSERVABILITY) && UFO_OBSERVABILITY
+  constexpr size_t n = size_t{1} << 12;
+  EdgeList ins = gen::random_unbounded(n, 21);
+  EdgeList del = ins;
+  util::shuffle(ins, 22);
+  util::shuffle(del, 23);
+  UfoTree t(n);
+  auto& reg = obs::MetricsRegistry::instance();
+  const obs::Counter& recomputes = reg.counter("core.recompute");
+  const obs::Counter& flushed = reg.counter("par.flush.clusters");
+  const int64_t r0 = recomputes.total(), f0 = flushed.total();
+  for (const Edge& e : ins) t.link(e.u, e.v, e.w);
+  size_t height = 0;
+  for (Vertex v = 0; v < n; ++v) height = std::max(height, t.height(v));
+  for (const Edge& e : del) t.cut(e.u, e.v);
+  const double per_update =
+      static_cast<double>(recomputes.total() - r0) / (2.0 * ins.size());
+  EXPECT_EQ(recomputes.total() - r0, flushed.total() - f0);
+  EXPECT_LE(per_update, static_cast<double>(height) + 4)
+      << "height " << height;
+  // Batches of 64: build, then cut half and re-link it.
+  for (size_t i = 0; i < ins.size(); i += 64) {
+    size_t end = std::min(ins.size(), i + 64);
+    t.batch_link(std::vector<Edge>(ins.begin() + i, ins.begin() + end));
+  }
+  for (size_t i = 0; i + 64 <= del.size() / 2; i += 64) {
+    std::vector<Edge> part(del.begin() + i, del.begin() + i + 64);
+    t.batch_cut(part);
+    t.batch_link(part);
+  }
+  EXPECT_EQ(recomputes.total() - r0, flushed.total() - f0);
+  EXPECT_TRUE(t.check_aggregates());  // recomputes outside the flush
+#else
+  GTEST_SKIP() << "needs -DUFO_OBSERVABILITY=ON (reads core.recompute)";
+#endif
+}
+
+// The 29-bit tag epoch wraps after about 2^29 epochs, a few per contraction
+// level of every batch. The wrap renumbers the live round's roles and
+// clears every other tag, so a mistake there corrupts roles and dedupes.
+// Each step is a single cut and re-link (about 140-210 epochs here), then a
+// cut and a re-link batch; it starts `offset` epochs short of the wrap, for
+// offsets 1..256, so the wrap lands at every point of a single update: in
+// teardown, detach and admit dedupes, mid-round with roles live, and in
+// the flush. Every step is audited against RefForest.
+TEST(ParUfo, EpochWrapKeepsRolesAndDedupes) {
+  constexpr size_t n = size_t{1} << 10;
+  EdgeList edges = gen::random_unbounded(n, 41);
+  util::SplitMix64 rng(42);
+  for (Edge& e : edges) e.w = 1 + static_cast<Weight>(rng.next(30));
+  UfoTree t(n);
+  RefForest ref(n);
+  for (Vertex v = 0; v < n; v += 7) {
+    t.set_mark(v, true);
+    ref.set_mark(v, true);
+  }
+  t.batch_link(edges);
+  for (const Edge& e : edges) ref.link(e.u, e.v, e.w);
+  const uint32_t max = UfoTreeTestPeer::max_epoch();
+  for (uint32_t offset = 1; offset <= 256; ++offset) {
+    UfoTreeTestPeer::set_epoch(t, max - offset);
+    const Edge& e = edges[rng.next(edges.size())];
+    t.cut(e.u, e.v);
+    t.link(e.u, e.v, e.w);
+    std::vector<Edge> part;
+    for (int i = 0; i < 24; ++i) part.push_back(edges[rng.next(edges.size())]);
+    auto key = [](const Edge& a) { return edge_key(a.u, a.v); };
+    std::sort(part.begin(), part.end(),
+              [&](const Edge& a, const Edge& b) { return key(a) < key(b); });
+    part.erase(std::unique(part.begin(), part.end(),
+                           [&](const Edge& a, const Edge& b) {
+                             return key(a) == key(b);
+                           }),
+               part.end());
+    t.batch_cut(part);
+    t.batch_link(part);
+    // Epochs never move backwards, so the next step may only start below
+    // the wrap if this one crossed it.
+    ASSERT_LT(UfoTreeTestPeer::epoch(t), max - offset)
+        << "offset " << offset << ": the step did not wrap";
+    ASSERT_TRUE(t.check_valid()) << "offset " << offset;
+    ASSERT_TRUE(t.check_aggregates()) << "offset " << offset;
+    for (int q = 0; q < 8; ++q) {
+      Vertex u = static_cast<Vertex>(rng.next(n));
+      Vertex v = static_cast<Vertex>(rng.next(n));
+      if (ref.connected(u, v))
+        ASSERT_EQ(t.path_sum(u, v), ref.path_sum(u, v)) << "offset " << offset;
+      ASSERT_EQ(t.nearest_marked_distance(u), ref.nearest_marked_distance(u))
+          << "offset " << offset;
     }
   }
 }
