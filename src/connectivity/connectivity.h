@@ -211,8 +211,15 @@ class GraphConnectivity {
       if (e.u > e.v) std::swap(e.u, e.v);
       cand[i] = e;
     });
-    cand = par::filter(cand, [&](const Edge& e) {
-      return e.u != e.v && e.u < n_ && e.v < n_ && !has_edge(e.u, e.v);
+    // The membership probes are hash lookups: classify in parallel, then
+    // emit the kept edges.
+    std::vector<uint8_t> keep(cand.size());
+    par::parallel_for(0, cand.size(), [&](size_t i) {
+      const Edge& e = cand[i];
+      keep[i] = e.u != e.v && e.u < n_ && e.v < n_ && !has_edge(e.u, e.v);
+    });
+    cand = par::emit<Edge>(cand.size(), [&](size_t i, auto& out) {
+      if (keep[i]) out(cand[i]);
     });
     // Dedupe within the batch (keep the first occurrence of each key).
     par::sort(cand, [](const Edge& a, const Edge& b) {
@@ -311,14 +318,15 @@ class GraphConnectivity {
         kind[i] = 0;
     });
     // Non-tree removals and weight drops: phase-concurrent tombstone erases
-    // (distinct keys by dedupe above); the cut batch falls out of a
-    // parallel filter over the classification.
+    // (distinct keys by dedupe above); the cut batch is emitted from the
+    // classification.
     par::parallel_for(0, cand.size(), [&](size_t i) {
       if (kind[i] == 1) nontree_.erase(cand[i].u, cand[i].v);
       if (kind[i] != 0) weight_.erase(edge_key(cand[i].u, cand[i].v));
     });
-    EdgeList cut_batch =
-        par::filter_index(cand, [&](size_t i) { return kind[i] == 2; });
+    EdgeList cut_batch = par::emit<Edge>(cand.size(), [&](size_t i, auto& out) {
+      if (kind[i] == 2) out(cand[i]);
+    });
     if (cut_batch.empty()) return BatchStatus::kOk;
     forest_.batch_cut(cut_batch);
     components_ += cut_batch.size();

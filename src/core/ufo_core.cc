@@ -441,30 +441,35 @@ void UfoCore::rake_ensure(uint32_t p) {
   }
 }
 
-// Caches rake r's contribution on r, so that removal is exact, and adds it.
 // r hangs off the center vertex, so its depth includes the rake edge hop.
+UfoCore::RakeContrib UfoCore::rake_contrib(uint32_t r) const {
+  const Cold& rc = cold_[r];
+  int sr = boundary_slot(
+      rc, hot_[r].nbrs.size == 0 ? kNoVertex : nbrs(r)[0].my_end);
+  RakeContrib k;
+  k.depth = 1 + (sr >= 0 ? rc.max_dist[sr] : 0);
+  k.mark = sr >= 0 && rc.marked_dist[sr] < kInf ? 1 + rc.marked_dist[sr] : kInf;
+  k.sumdist = (sr >= 0 ? rc.sum_dist[sr] : 0) + rc.sub_sum;
+  k.sub = rc.sub_sum;
+  k.diam = static_cast<uint32_t>(rc.diam);
+  k.marked = rc.marked_count;
+  return k;
+}
+
+// Caches rake r's contribution on r, so that removal is exact, and adds it.
 void UfoCore::rake_index_add(uint32_t p, uint32_t r) {
   sizes_[r].contrib_nverts = sizes_[r].n_verts;
   sizes_[p].rake_nverts += sizes_[r].contrib_nverts;
   if (agg_ == Aggregates::kSize) return;
-  Cold& rc = cold_[r];
-  int sr = boundary_slot(
-      rc, hot_[r].nbrs.size == 0 ? kNoVertex : nbrs(r)[0].my_end);
-  rc.contrib_depth = 1 + (sr >= 0 ? rc.max_dist[sr] : 0);
-  rc.contrib_mark =
-      sr >= 0 && rc.marked_dist[sr] < kInf ? 1 + rc.marked_dist[sr] : kInf;
-  rc.contrib_diam = static_cast<uint32_t>(rc.diam);
-  rc.contrib_sub = rc.sub_sum;
-  rc.contrib_sumdist = (sr >= 0 ? rc.sum_dist[sr] : 0) + rc.sub_sum;
-  rc.contrib_marked = rc.marked_count;
+  const RakeContrib& k = cold_[r].contrib = rake_contrib(r);
   rake_ensure(p);
   RakeIndex& ri = rake_of(p);
-  ri.depths.insert(rc.contrib_depth);
-  if (rc.contrib_mark < kInf) ri.marks.insert(rc.contrib_mark);
-  ri.diams.insert(rc.contrib_diam);
-  ri.sub_total += rc.contrib_sub;
-  ri.sumdist_total += rc.contrib_sumdist;
-  ri.marked_total += rc.contrib_marked;
+  ri.depths.insert(k.depth);
+  if (k.mark < kInf) ri.marks.insert(k.mark);
+  ri.diams.insert(k.diam);
+  ri.sub_total += k.sub;
+  ri.sumdist_total += k.sumdist;
+  ri.marked_total += k.marked;
 }
 
 void UfoCore::rake_index_remove(uint32_t p, uint32_t r) {
@@ -472,16 +477,21 @@ void UfoCore::rake_index_remove(uint32_t p, uint32_t r) {
   if (agg_ == Aggregates::kSize) return;
   assert(cold_[p].rake != kNullSlab);
   RakeIndex& ri = rake_of(p);
-  const Cold& rc = cold_[r];
-  ri.depths.erase_one(rc.contrib_depth);
-  if (rc.contrib_mark < kInf) ri.marks.erase_one(rc.contrib_mark);
-  ri.diams.erase_one(rc.contrib_diam);
-  ri.sub_total -= rc.contrib_sub;
-  ri.sumdist_total -= rc.contrib_sumdist;
-  ri.marked_total -= rc.contrib_marked;
+  const RakeContrib& k = cold_[r].contrib;
+  ri.depths.erase_one(k.depth);
+  if (k.mark < kInf) ri.marks.erase_one(k.mark);
+  ri.diams.erase_one(k.diam);
+  ri.sub_total -= k.sub;
+  ri.sumdist_total -= k.sumdist;
+  ri.marked_total -= k.marked;
 }
 
+// Most refreshes leave the cached contribution as it was, so compare
+// before editing the bags.
 void UfoCore::rake_index_refresh(uint32_t p, uint32_t r) {
+  if (sizes_[r].contrib_nverts == sizes_[r].n_verts &&
+      (agg_ == Aggregates::kSize || cold_[r].contrib == rake_contrib(r)))
+    return;
   rake_index_remove(p, r);
   rake_index_add(p, r);
 }

@@ -211,6 +211,20 @@ class UfoCore {
   };
   static_assert(sizeof(SizeRec) <= 16, "size record must stay small");
 
+  // The kAll part of what a rake adds to its superunary parent's rake
+  // index (the size part is SizeRec::contrib_nverts).
+  struct RakeContrib {
+    int64_t depth = 0;    // 1 + max_dist at the rake's boundary
+    int64_t mark = 0;     // 1 + marked_dist there; kInf when none
+    int64_t sumdist = 0;  // sum_dist there + sub_sum
+    Weight sub = 0;       // sub_sum
+    // A diameter is at most n - 1 hops, so 32 bits hold it; this keeps a
+    // kAll cluster's size + cold records within 160 bytes.
+    uint32_t diam = 0;
+    uint32_t marked = 0;  // marked_count
+    bool operator==(const RakeContrib&) const = default;
+  };
+
   // Cold aggregates record (kAll only): the rest of TopologyTree's
   // quantities (see topology_tree.h) plus the rake-index handle and the
   // cached contribution this cluster last pushed into a superunary parent's
@@ -224,15 +238,8 @@ class UfoCore {
     int64_t max_dist[2] = {0, 0};
     int64_t sum_dist[2] = {0, 0};
     int64_t marked_dist[2] = {kInf, kInf};
-    int64_t contrib_depth = 0;
-    int64_t contrib_mark = 0;
-    int64_t contrib_sumdist = 0;
-    Weight contrib_sub = 0;
-    // A diameter is at most n - 1 hops, so 32 bits hold it; this keeps a
-    // kAll cluster's size + cold records within 160 bytes.
-    uint32_t contrib_diam = 0;
+    RakeContrib contrib;
     uint32_t marked_count = 0;
-    uint32_t contrib_marked = 0;
     Vertex bv[2] = {kNoVertex, kNoVertex};
     // Rake index handle into rake_pool_ (superunary clusters only;
     // allocated lazily, recycled with the cluster).
@@ -246,7 +253,7 @@ class UfoCore {
   // non-invertible rake contributions, whose ends (min, max, top two) are
   // all the aggregates read; running totals cover the invertible parts (the
   // size total lives in SizeRec::rake_nverts); each rake caches the
-  // contribution it last added (Cold::contrib_*), so removal is exact.
+  // contribution it last added (Cold::contrib), so removal is exact.
   // kAll only.
   struct RakeIndex {
     SortedBag depths;  // 1 + rake.max_dist
@@ -294,15 +301,10 @@ class UfoCore {
     const ListRef& l = hot_[c].nbrs;
     return {l.size ? adj_pool_.ptr(l.head) : nullptr, l.size};
   }
-  Span<Adj> nbrs_mut(uint32_t c) {
-    const ListRef& l = hot_[c].nbrs;
-    return {l.size ? adj_pool_.ptr(l.head) : nullptr, l.size};
-  }
   Span<const uint32_t> children(uint32_t c) const {
     const ListRef& l = hot_[c].children;
     return {l.size ? child_pool_.ptr(l.head) : nullptr, l.size};
   }
-  size_t cluster_degree(uint32_t c) const { return hot_[c].nbrs.size; }
   size_t fanout(uint32_t c) const { return hot_[c].children.size; }
 
   void nbrs_push(uint32_t c, const Adj& a);
@@ -336,7 +338,7 @@ class UfoCore {
            sizes_[p].rake_index_valid;
   }
   // Re-cache indexed rake r's contribution after its aggregates changed,
-  // O(log distinct keys).
+  // O(log distinct keys); O(1) when the contribution is unchanged.
   void rake_index_refresh(uint32_t p, uint32_t r);
   // Clear p's rake index and add every non-center child; marks it valid.
   // The only rebuild recompute_aggregates uses.
@@ -423,6 +425,8 @@ class UfoCore {
   // them, which is what keeps the index rule above.
   void rake_index_add(uint32_t p, uint32_t r);
   void rake_index_remove(uint32_t p, uint32_t r);
+  // Rake r's contribution as computed from its current aggregates.
+  RakeContrib rake_contrib(uint32_t r) const;
   void children_push(uint32_t p, uint32_t c);
   // Adjacency hash index internals (slot = key << 32 | pos; 0 = empty).
   void adj_index_build(uint32_t c);

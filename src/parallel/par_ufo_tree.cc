@@ -18,44 +18,6 @@
 
 namespace ufo::par {
 
-namespace {
-
-// Items per block of the tag passes: a pass over at most one block runs
-// inline (parallel_for forks from two items up).
-constexpr size_t kBlock = 2048;
-
-// The elements of v that satisfy pred (called once on each), in order: one
-// serial pass over a single block, else a flagging and a writing pass per
-// block. The file's one order-preserving pack.
-template <class T, class Pred>
-std::vector<T> pack_if(const std::vector<T>& v, Pred&& pred) {
-  size_t n = v.size(), nb = (n + kBlock - 1) / kBlock;
-  if (nb <= 1) {
-    std::vector<T> out;
-    out.reserve(n);
-    for (const T& x : v)
-      if (pred(x)) out.push_back(x);
-    return out;
-  }
-  std::vector<uint8_t> keep(n);
-  std::vector<size_t> off(nb);
-  parallel_for(0, nb, [&](size_t b) {
-    size_t cnt = 0;
-    for (size_t i = b * kBlock; i < std::min(n, b * kBlock + kBlock); ++i)
-      cnt += keep[i] = pred(v[i]);
-    off[b] = cnt;
-  });
-  std::vector<T> out(scan_exclusive(off));
-  parallel_for(0, nb, [&](size_t b) {
-    size_t at = off[b];
-    for (size_t i = b * kBlock; i < std::min(n, b * kBlock + kBlock); ++i)
-      if (keep[i]) out[at++] = v[i];
-  });
-  return out;
-}
-
-}  // namespace
-
 UfoTree::UfoTree(size_t n, core::Aggregates a) : core::UfoCore(n, a) {
   ensure_scratch();
 }
@@ -127,7 +89,7 @@ template <class Keep>
 std::vector<uint32_t> UfoTree::unique_if(const std::vector<uint32_t>& v,
                                          Keep&& keep) {
   uint32_t epoch = new_epoch();
-  return pack_if(v, [&](uint32_t c) { return keep(c) && claim(c, epoch); });
+  return filter(v, [&](uint32_t c) { return keep(c) && claim(c, epoch); });
 }
 
 template <class KeyOf>
@@ -181,35 +143,21 @@ void UfoTree::root_into_frontier(uint32_t c) {
 // teardown's survival guards see post-delete degrees; insertions run on the
 // surviving post-teardown chains, whose clusters all kept degree >= 3
 // through the guard and therefore attach the new projections at their
-// single boundary vertex. Walks are read-only and parallel; the emitted
-// (cluster, op) list is grouped so one task owns each touched cluster.
+// single boundary vertex. Each update's chain pair is walked once, read-only
+// and in parallel with the others; the emitted (cluster, op) list is grouped
+// so one task owns each touched cluster.
 void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
-  size_t m = ops.size();
-  // Pass 1: per-update walk length.
-  std::vector<size_t> off(m);
-  parallel_for(0, m, [&](size_t i) {
-    uint32_t a = leaf_id(ops[i].u), b = leaf_id(ops[i].v);
-    size_t levels = 0;
+  using Op = std::pair<uint32_t, Adj>;
+  apply_adjacency(emit<Op>(ops.size(), [&](size_t i, auto& out) {
+    const Update& e = ops[i];
+    uint32_t a = leaf_id(e.u), b = leaf_id(e.v);
     while (a != 0 && b != 0 && a != b) {
-      ++levels;
+      out({a, {b, e.u, e.v, e.w}});
+      out({b, {a, e.v, e.u, e.w}});
       a = hot_[a].parent;
       b = hot_[b].parent;
     }
-    off[i] = 2 * levels;
-  });
-  size_t total = scan_exclusive(off);
-  std::vector<std::pair<uint32_t, Adj>> flat(total);
-  parallel_for(0, m, [&](size_t i) {
-    uint32_t a = leaf_id(ops[i].u), b = leaf_id(ops[i].v);
-    size_t at = off[i];
-    while (a != 0 && b != 0 && a != b) {
-      flat[at++] = {a, {b, ops[i].u, ops[i].v, ops[i].w}};
-      flat[at++] = {b, {a, ops[i].v, ops[i].u, ops[i].w}};
-      a = hot_[a].parent;
-      b = hot_[b].parent;
-    }
-  });
-  apply_adjacency(flat, insert);
+  }), insert);
 }
 
 // One task per touched cluster owns all of its adjacency writes: inserts
@@ -252,8 +200,9 @@ std::vector<uint32_t> UfoTree::apply_adjacency(
 void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
   UFO_SPAN("par.teardown");
   UFO_STAT("par.teardown.walks", starts.size());
-  std::vector<Token> toks =
-      map(starts.size(), [&](size_t i) { return Token{starts[i], false}; });
+  std::vector<Token> toks(starts.size());
+  parallel_for(0, starts.size(),
+               [&](size_t i) { toks[i] = {starts[i], false}; });
   while (!toks.empty()) {
     UFO_STAT("par.teardown.rounds", 1);
     ensure_scratch();
@@ -263,7 +212,7 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
       if (hot_[t.child].parent == 0 && !t.deleted)
         root_into_frontier(t.child);
     }
-    std::vector<Token> rest = pack_if(
+    std::vector<Token> rest = filter(
         toks, [&](const Token& t) { return hot_[t.child].parent != 0; });
     if (rest.empty()) break;
 
@@ -272,11 +221,11 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
     size_t ngroups = byp.keys.size();
     UFO_STAT_HIST("par.teardown.level_width", rest.size());
     UFO_STAT("par.teardown.visited", ngroups);
+    // next[g]: group g's cluster, and whether it was deleted. The body
+    // emits the clusters it re-roots.
     std::vector<Token> next(ngroups);
-    std::vector<std::vector<uint32_t>> rooted(ngroups);
-    std::vector<uint8_t> died(ngroups, 0);
-
-    parallel_for(0, ngroups, [&](size_t g) {
+    std::vector<uint32_t> rooted = emit<uint32_t>(ngroups, [&](size_t g,
+                                                               auto& out) {
       uint32_t begin = byp.start[g], end = byp.start[g + 1];
       uint32_t cur = byp.keys[g];
       Hot& ch = hot_[cur];
@@ -336,11 +285,10 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
       }
       if (deletable) {
         flags_[cur] |= kDoomed;
-        died[g] = 1;
         for (uint32_t kid : children(cur)) {
           std::atomic_ref<uint32_t>(hot_[kid].parent)
               .store(0, std::memory_order_relaxed);
-          rooted[g].push_back(kid);
+          out(kid);
         }
         next[g] = {cur, true};
       } else {
@@ -352,23 +300,21 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
           remove_child(cur, c);
           std::atomic_ref<uint32_t>(hot_[c].parent)
               .store(0, std::memory_order_relaxed);
-          rooted[g].push_back(c);
+          out(c);
         }
         next[g] = {cur, false};
       }
     });
 
-    // Phase boundary: collect re-rooted clusters and doomed ids, and queue
-    // the survivors.
-    std::vector<uint32_t> newly_doomed;
-    for (size_t g = 0; g < ngroups; ++g) {
-      for (uint32_t c : rooted[g]) root_into_frontier(c);
-      if (died[g]) {
-        newly_doomed.push_back(next[g].child);
-      } else {
-        queue(next[g].child);
-      }
-    }
+    // Phase boundary: root the re-rooted clusters, queue the survivors and
+    // collect the doomed.
+    for (uint32_t c : rooted) root_into_frontier(c);
+    for (const Token& t : next)
+      if (!t.deleted) queue(t.child);
+    std::vector<uint32_t> newly_doomed =
+        emit<uint32_t>(ngroups, [&](size_t g, auto& out) {
+          if (next[g].deleted) out(next[g].child);
+        });
     doomed_list_.insert(doomed_list_.end(), newly_doomed.begin(),
                         newly_doomed.end());
     UFO_STAT("par.teardown.doomed", newly_doomed.size());
@@ -376,11 +322,13 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
 
     // Remove this round's doomed clusters from their surviving neighbors'
     // adjacency (grouped by survivor so each list has one owner).
-    std::vector<std::pair<uint32_t, Adj>> cleanup;
-    for (uint32_t d : newly_doomed) {
-      for (const Adj& a : nbrs(d))
-        if (!doomed(a.nbr)) cleanup.emplace_back(a.nbr, Adj{d});
-    }
+    std::vector<std::pair<uint32_t, Adj>> cleanup =
+        emit<std::pair<uint32_t, Adj>>(
+            newly_doomed.size(), [&](size_t i, auto& out) {
+              uint32_t d = newly_doomed[i];
+              for (const Adj& a : nbrs(d))
+                if (!doomed(a.nbr)) out({a.nbr, Adj{d}});
+            });
     std::vector<uint32_t> dropped = apply_adjacency(cleanup, /*insert=*/false);
     revalidate_.insert(revalidate_.end(), dropped.begin(), dropped.end());
     toks = std::move(next);
@@ -396,12 +344,8 @@ void UfoTree::force_detach(uint32_t c) {
   queue(p);
 }
 
-bool UfoTree::detach(const std::vector<DetachRequests>& requests) {
-  std::vector<uint32_t> walk, forced;
-  for (const DetachRequests& r : requests) {
-    walk.insert(walk.end(), r.walk.begin(), r.walk.end());
-    forced.insert(forced.end(), r.forced.begin(), r.forced.end());
-  }
+bool UfoTree::detach(std::vector<uint32_t> walk,
+                     const std::vector<uint32_t>& forced) {
   if (walk.empty() && forced.empty()) return false;
   auto attached = [&](uint32_t c) {
     return alive(c) && !doomed(c) && hot_[c].parent != 0;
@@ -422,29 +366,32 @@ void UfoTree::drain_revalidate() {
     // the guarded teardown; a high-degree cluster whose rake role broke is
     // detached directly. Parentless clusters are skipped — the frontier
     // round that picks them up enforces maximality itself.
-    auto requests = map(check.size(), [&](size_t i) {
-      DetachRequests out;
-      uint32_t q = check[i];
+    std::vector<uint32_t> walk =
+        emit<uint32_t>(check.size(), [&](size_t i, auto& out) {
+          uint32_t q = check[i];
+          const Hot& qh = hot_[q];
+          if (qh.parent == 0) return;
+          if (qh.nbrs.size >= 3) {
+            for (const Adj& a : nbrs(q)) {
+              const Hot& wh = hot_[a.nbr];
+              if (wh.nbrs.size == 1 && wh.parent != 0 &&
+                  wh.parent != qh.parent)
+                out(a.nbr);  // must be raked beside q
+            }
+          } else if (qh.nbrs.size == 1) {
+            uint32_t z = nbrs(q)[0].nbr;
+            const Hot& zh = hot_[z];
+            if (zh.nbrs.size >= 3 && zh.parent != 0 && zh.parent != qh.parent)
+              out(q);  // must be raked beside z
+          }
+        });
+    std::vector<uint32_t> forced = filter(check, [&](uint32_t q) {
       const Hot& qh = hot_[q];
-      if (qh.parent == 0) return out;
-      if (qh.nbrs.size >= 3) {
-        for (const Adj& a : nbrs(q)) {
-          const Hot& wh = hot_[a.nbr];
-          if (wh.nbrs.size == 1 && wh.parent != 0 && wh.parent != qh.parent)
-            out.walk.push_back(a.nbr);  // must be raked beside q
-        }
-        const Hot& pq = hot_[qh.parent];
-        if (pq.center_child != 0 && pq.center_child != q)
-          out.forced.push_back(q);  // a rake must have degree 1
-      } else if (qh.nbrs.size == 1) {
-        uint32_t z = nbrs(q)[0].nbr;
-        const Hot& zh = hot_[z];
-        if (zh.nbrs.size >= 3 && zh.parent != 0 && zh.parent != qh.parent)
-          out.walk.push_back(q);  // must be raked beside z
-      }
-      return out;
+      if (qh.parent == 0 || qh.nbrs.size < 3) return false;
+      uint32_t center = hot_[qh.parent].center_child;
+      return center != 0 && center != q;  // a rake must have degree 1
     });
-    if (!detach(requests)) break;
+    if (!detach(std::move(walk), forced)) break;
   }
 }
 
@@ -455,9 +402,9 @@ void UfoTree::batch_update(const std::vector<Update>& batch) {
   UFO_STAT("par.batch.updates", batch.size());
   ensure_scratch();
   std::vector<Update> dels =
-      pack_if(batch, [](const Update& u) { return u.is_delete; });
+      filter(batch, [](const Update& u) { return u.is_delete; });
   std::vector<Update> inss =
-      pack_if(batch, [](const Update& u) { return !u.is_delete; });
+      filter(batch, [](const Update& u) { return !u.is_delete; });
   // 1. Deleted edges leave every level of the intact chains first, so the
   //    teardown's survival guards see post-delete degrees (matches seq).
   if (!dels.empty()) {
@@ -529,7 +476,7 @@ std::vector<uint32_t> UfoTree::admit(int32_t lvl,
            hot_[c].level == lvl;
   });
   for (uint32_t c : in) queue(c);
-  return pack_if(in, [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
+  return filter(in, [&](uint32_t c) { return hot_[c].nbrs.size != 0; });
 }
 
 void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
@@ -550,28 +497,27 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // Each sweep's walk requests are deduplicated at the phase boundary; a
   // detached target re-enters this level and is absorbed below.
   for (;;) {
-    auto requests = map(active.size(), [&](size_t i) {
-      DetachRequests out;
-      uint32_t c = active[i];
-      if (hot_[c].nbrs.size >= 3) {
-        for (const Adj& a : nbrs(c)) {
-          uint32_t y = a.nbr;
-          if (hot_[y].parent != 0 && hot_[y].nbrs.size == 1)
-            out.walk.push_back(y);
-        }
-      } else if (hot_[c].nbrs.size == 1) {
-        uint32_t y = nbrs(c)[0].nbr;
-        if (hot_[y].parent != 0 && hot_[y].nbrs.size >= 3) {
+    std::vector<uint32_t> walk =
+        emit<uint32_t>(active.size(), [&](size_t i, auto& out) {
+          uint32_t c = active[i];
+          if (hot_[c].nbrs.size < 3) return;
+          for (const Adj& a : nbrs(c)) {
+            uint32_t y = a.nbr;
+            if (hot_[y].parent != 0 && hot_[y].nbrs.size == 1) out(y);
+          }
+        });
+    std::vector<uint32_t> forced =
+        emit<uint32_t>(active.size(), [&](size_t i, auto& out) {
+          uint32_t c = active[i];
+          if (hot_[c].nbrs.size != 1) return;
+          uint32_t y = nbrs(c)[0].nbr;
+          if (hot_[y].parent == 0 || hot_[y].nbrs.size < 3) return;
           const Hot& pyh = hot_[hot_[y].parent];
-          bool can_center =
-              pyh.center_child == y ||
-              (pyh.center_child == 0 && pyh.children.size == 1);
-          if (!can_center) out.forced.push_back(y);
-        }
-      }
-      return out;
-    });
-    if (!detach(requests)) break;
+          bool can_center = pyh.center_child == y ||
+                            (pyh.center_child == 0 && pyh.children.size == 1);
+          if (!can_center) out(y);
+        });
+    if (!detach(std::move(walk), forced)) break;
     // Absorb clusters the detaches re-rooted at this level.
     std::vector<uint32_t> fresh;
     if (static_cast<size_t>(lvl) < frontier_.size()) {
@@ -599,27 +545,19 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // surviving superunary whose center is their (attached) neighbor (the
   // phase-1 fixpoint already detached neighbors whose parent cannot center
   // them).
-  std::vector<std::pair<uint32_t, uint32_t>> engaged;  // (survivor parent, c)
-  {
-    auto lists = map(m, [&](size_t i) {
-      std::pair<uint32_t, uint32_t> none{0, 0};
-      uint32_t c = active[i];
-      if (hot_[c].nbrs.size != 1) return none;
-      uint32_t y = nbrs(c)[0].nbr;
-      if (role_of(y) == kCenter) {
-        set_role(c, kRaked);
-        return none;
-      }
-      if (role_of(y) == kNone && hot_[y].parent != 0 &&
-          hot_[y].nbrs.size >= 3) {
-        set_role(c, kEngaged);
-        return std::pair<uint32_t, uint32_t>{hot_[y].parent, c};
-      }
-      return none;
-    });
-    for (auto& e : lists)
-      if (e.second != 0) engaged.push_back(e);
-  }
+  std::vector<std::pair<uint32_t, uint32_t>> engaged =  // (survivor parent, c)
+      emit<std::pair<uint32_t, uint32_t>>(m, [&](size_t i, auto& out) {
+        uint32_t c = active[i];
+        if (hot_[c].nbrs.size != 1) return;
+        uint32_t y = nbrs(c)[0].nbr;
+        if (role_of(y) == kCenter) {
+          set_role(c, kRaked);
+        } else if (role_of(y) == kNone && hot_[y].parent != 0 &&
+                   hot_[y].nbrs.size >= 3) {
+          set_role(c, kEngaged);
+          out({hot_[y].parent, c});
+        }
+      });
 
   // Phase B: randomized mutual-proposal matching over the remaining
   // degree <= 2 clusters (their eligible subgraph is a disjoint union of
@@ -631,7 +569,7 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // salts pair an expected constant fraction per round.
   std::vector<uint32_t> pairs;  // anchors; partner = proposal_[anchor]
   std::vector<uint32_t> matchable =
-      pack_if(active, [&](uint32_t c) { return role_of(c) == kFree; });
+      filter(active, [&](uint32_t c) { return role_of(c) == kFree; });
   while (!matchable.empty()) {
     UFO_STAT("par.recluster.match_rounds", 1);
     uint64_t salt = util::hash64(round_salt_++);
@@ -651,7 +589,7 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
       }
       proposal_[c] = best;  // 0 = no eligible neighbor
     });
-    std::vector<uint32_t> fresh = pack_if(matchable, [&](uint32_t c) {
+    std::vector<uint32_t> fresh = filter(matchable, [&](uint32_t c) {
       uint32_t d = proposal_[c];
       return d != 0 && proposal_[d] == c && c < d;
     });
@@ -663,13 +601,13 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
     });
     pairs.insert(pairs.end(), fresh.begin(), fresh.end());
     matchable =
-        pack_if(matchable, [&](uint32_t c) { return role_of(c) == kFree; });
+        filter(matchable, [&](uint32_t c) { return role_of(c) == kFree; });
   }
 
   std::vector<uint32_t> centers =
-      pack_if(active, [&](uint32_t c) { return role_of(c) == kCenter; });
+      filter(active, [&](uint32_t c) { return role_of(c) == kCenter; });
   std::vector<uint32_t> singles =
-      pack_if(active, [&](uint32_t c) { return role_of(c) == kFree; });
+      filter(active, [&](uint32_t c) { return role_of(c) == kFree; });
   UFO_STAT("par.recluster.centers", centers.size());
   UFO_STAT("par.recluster.pairs", pairs.size());
   UFO_STAT("par.recluster.singletons", singles.size());
@@ -748,25 +686,23 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // shared edge itself) or a surviving one, which gets the reciprocal entry
   // appended in a per-survivor batch. A forest has at most one edge between
   // two parents' contents, so no dedupe pass is needed.
-  std::vector<std::vector<std::pair<uint32_t, Adj>>> recip(parents.size());
-  parallel_for(0, parents.size(), [&](size_t i) {
-    uint32_t p = parents[i];
-    for (uint32_t c : children(p)) {
-      for (const Adj& a : nbrs(c)) {
-        uint32_t q = hot_[a.nbr].parent;
-        assert(q != 0 && "neighbor must have been reclustered");
-        if (q == p) continue;  // merge or rake edge: now internal
-        assert(!adj_contains(p, q) &&
-               "duplicate projected edge: cycle in the batch?");
-        nbrs_push(p, {q, a.my_end, a.other_end, a.w});
-        if (role_of(q) != kFresh)
-          recip[i].emplace_back(q, Adj{p, a.other_end, a.my_end, a.w});
-      }
-    }
-  });
-  std::vector<std::pair<uint32_t, Adj>> flat;
-  for (auto& r : recip) flat.insert(flat.end(), r.begin(), r.end());
-  std::vector<uint32_t> grown = apply_adjacency(flat, /*insert=*/true);
+  std::vector<std::pair<uint32_t, Adj>> recip =
+      emit<std::pair<uint32_t, Adj>>(parents.size(), [&](size_t i, auto& out) {
+        uint32_t p = parents[i];
+        for (uint32_t c : children(p)) {
+          for (const Adj& a : nbrs(c)) {
+            uint32_t q = hot_[a.nbr].parent;
+            assert(q != 0 && "neighbor must have been reclustered");
+            if (q == p) continue;  // merge or rake edge: now internal
+            assert(!adj_contains(p, q) &&
+                   "duplicate projected edge: cycle in the batch?");
+            nbrs_push(p, {q, a.my_end, a.other_end, a.w});
+            if (role_of(q) != kFresh)
+              out({q, Adj{p, a.other_end, a.my_end, a.w}});
+          }
+        }
+      });
+  std::vector<uint32_t> grown = apply_adjacency(recip, /*insert=*/true);
   revalidate_.insert(revalidate_.end(), grown.begin(), grown.end());
 
   // Phase 5: the new parents recluster one level up (they are queued for
@@ -787,7 +723,7 @@ void UfoTree::flush_dirty() {
   for (size_t l = 0; l < dirty_.size(); ++l) {
     // Doomed clusters are recycled, flags and all, at the end of the batch.
     std::vector<uint32_t> items =
-        pack_if(dirty_[l], [&](uint32_t c) { return !doomed(c); });
+        filter(dirty_[l], [&](uint32_t c) { return !doomed(c); });
     dirty_[l].clear();
     if (items.empty()) continue;
     UFO_STAT("par.flush.clusters", items.size());
@@ -795,7 +731,7 @@ void UfoTree::flush_dirty() {
       recompute_aggregates(items[i]);
       flags_[items[i]] = 0;
     });
-    std::vector<uint32_t> rakes = pack_if(items, [&](uint32_t c) {
+    std::vector<uint32_t> rakes = filter(items, [&](uint32_t c) {
       uint32_t p = hot_[c].parent;
       return p != 0 && !doomed(p) && rake_indexed(p, c);
     });

@@ -31,8 +31,9 @@
 //      parent (one task per parent adds the rakes to its rake index);
 //      attached degree-1 neighbors of active centers are detached by the
 //      same teardown machinery and raked in.
-//      Detach requests are deduplicated at the phase boundary, so each
-//      target starts one walk however many tasks asked for it.
+//      Detach requests are emitted as flat lists (par::emit) and
+//      deduplicated at the phase boundary, so each target starts one walk
+//      however many tasks asked for it.
 //      Reclustering reads only structure: every cluster entering a round
 //      is queued for step 5, and none is recomputed here.
 //   5. A final level-synchronous flush computes the aggregates of every
@@ -42,15 +43,18 @@
 //      in the batch.
 //
 // Dedupes and groupings of cluster ids use one 32-bit epoch tag per cluster
-// (state_) and proposal_ as the group slot: O(n) passes, no sorts.
+// (state_) and proposal_ as the group slot: O(n) passes, no sorts. Every
+// other list the pipeline builds (packs, edge-walk ops, detach requests,
+// re-rooted clusters, projections) comes from one par::emit pass, whose
+// body runs once per item and may keep its side effects.
 //
 // Affected granularity is the *ancestor path*: a small batch touching a
 // huge component costs O(k * height) instead of the previous
 // whole-component O(n) rebuild, so single link()/cut() (batches of one)
 // cost O(height) like seq::UfoTree's. Their constant is higher: at one
 // worker, linking and then cutting every edge of the fig5 inputs
-// (n = 30000) takes 3.0x seq::UfoTree's time summed over the inputs, and
-// 2.5-4.8x per input (BENCH.md). Large batches keep the level-synchronous
+// (n = 30000) takes 2.6x seq::UfoTree's time summed over the inputs, and
+// 2.2-3.5x per input (BENCH.md). Large batches keep the level-synchronous
 // sharing that made the old backend fast on path/pref-attach inputs.
 //
 // Determinism: query answers depend only on the update sequence; the
@@ -154,12 +158,6 @@ class UfoTree : public core::UfoCore {
   // Queue c for the flush (once per batch; doomed clusters are skipped).
   void queue(uint32_t c);
 
-  // One task's requests to detach clusters by teardown walk or by force.
-  struct DetachRequests {
-    std::vector<uint32_t> walk;
-    std::vector<uint32_t> forced;
-  };
-
   // Apply the batch's edge updates at every level of the endpoint chains
   // (deletions walk the intact pre-teardown chains; insertions the
   // surviving post-teardown chains).
@@ -191,10 +189,11 @@ class UfoTree : public core::UfoCore {
   // re-contracts. The parallel analogue of seq::UfoTree::repair.
   void drain_revalidate();
   // The one detach step of both fixpoints (drain_revalidate and
-  // contract_round's Phase 1): dedupes the requests, force-detaches the
-  // forced clusters, and runs one teardown pass from the walk targets that
-  // are still attached. Returns false when no task requested anything.
-  bool detach(const std::vector<DetachRequests>& requests);
+  // contract_round's Phase 1), which emit flat lists of walk targets and
+  // forced clusters: dedupes both lists, force-detaches the forced
+  // clusters, and runs one teardown pass from the walk targets that are
+  // still attached. Returns false when both lists are empty.
+  bool detach(std::vector<uint32_t> walk, const std::vector<uint32_t>& forced);
   // Recluster the per-level frontier bottom-up until empty.
   void contract_frontier();
   void contract_round(int32_t lvl, std::vector<uint32_t> raw);

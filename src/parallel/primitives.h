@@ -1,9 +1,11 @@
-// Parallel sequence primitives built on the fork-join scheduler: map, reduce,
-// exclusive scan, pack/filter, merge sort, duplicate removal, and semisort
-// (group-by-key). These mirror the ParlayLib primitives the paper's
-// implementation relies on, with matching asymptotics in the binary
-// fork-join model (sorting-based semisort: O(k log k) work, which at the
-// batch sizes used here is indistinguishable from the O(k) hashing variant).
+// Parallel sequence primitives built on the fork-join scheduler: reduce,
+// exclusive scan, order-preserving emission (emit, and filter over it),
+// merge sort, duplicate removal, and semisort (group-by-key). These mirror
+// the ParlayLib primitives the paper's implementation relies on, with
+// matching asymptotics in the binary fork-join model (sorting-based
+// semisort: O(k log k) work, which at the batch sizes used here is
+// indistinguishable from the O(k) hashing variant). The blocked passes work
+// in blocks of kBlock items, and a pass over one block runs inline.
 #pragma once
 
 #include <algorithm>
@@ -16,22 +18,15 @@
 
 namespace ufo::par {
 
-// Apply f to every index and collect the results.
-template <class F>
-auto map(size_t n, F&& f) -> std::vector<decltype(f(size_t{0}))> {
-  using T = decltype(f(size_t{0}));
-  std::vector<T> out(n);
-  parallel_for(0, n, [&](size_t i) { out[i] = f(i); });
-  return out;
-}
+// Items per block of the blocked passes.
+inline constexpr size_t kBlock = 2048;
 
 // Reduce v with an associative op and identity element.
 template <class T, class Op>
 T reduce(const std::vector<T>& v, T identity, Op&& op) {
   size_t n = v.size();
   if (n == 0) return identity;
-  size_t block = 2048;
-  size_t nblocks = (n + block - 1) / block;
+  size_t nblocks = (n + kBlock - 1) / kBlock;
   if (nblocks == 1) {
     T acc = identity;
     for (const T& x : v) acc = op(acc, x);
@@ -40,8 +35,8 @@ T reduce(const std::vector<T>& v, T identity, Op&& op) {
   std::vector<T> partial(nblocks, identity);
   parallel_for(0, nblocks, [&](size_t b) {
     T acc = identity;
-    size_t end = std::min(n, (b + 1) * block);
-    for (size_t i = b * block; i < end; ++i) acc = op(acc, v[i]);
+    size_t end = std::min(n, (b + 1) * kBlock);
+    for (size_t i = b * kBlock; i < end; ++i) acc = op(acc, v[i]);
     partial[b] = acc;
   });
   T acc = identity;
@@ -53,8 +48,7 @@ T reduce(const std::vector<T>& v, T identity, Op&& op) {
 template <class T>
 T scan_exclusive(std::vector<T>& v) {
   size_t n = v.size();
-  size_t block = 2048;
-  size_t nblocks = (n + block - 1) / block;
+  size_t nblocks = (n + kBlock - 1) / kBlock;
   if (nblocks <= 1) {
     T acc{};
     for (size_t i = 0; i < n; ++i) {
@@ -67,8 +61,8 @@ T scan_exclusive(std::vector<T>& v) {
   std::vector<T> partial(nblocks);
   parallel_for(0, nblocks, [&](size_t b) {
     T acc{};
-    size_t end = std::min(n, (b + 1) * block);
-    for (size_t i = b * block; i < end; ++i) acc += v[i];
+    size_t end = std::min(n, (b + 1) * kBlock);
+    for (size_t i = b * kBlock; i < end; ++i) acc += v[i];
     partial[b] = acc;
   });
   T total{};
@@ -79,8 +73,8 @@ T scan_exclusive(std::vector<T>& v) {
   }
   parallel_for(0, nblocks, [&](size_t b) {
     T acc = partial[b];
-    size_t end = std::min(n, (b + 1) * block);
-    for (size_t i = b * block; i < end; ++i) {
+    size_t end = std::min(n, (b + 1) * kBlock);
+    for (size_t i = b * kBlock; i < end; ++i) {
       T x = v[i];
       v[i] = acc;
       acc += x;
@@ -89,29 +83,48 @@ T scan_exclusive(std::vector<T>& v) {
   return total;
 }
 
-// Keep the elements whose index satisfies pred, preserving order (the
-// pack: flags, exclusive scan, scatter). The predicate sees the element
-// *index*, so the keep/drop decision can live in a parallel side array
-// (e.g. batch_erase's per-candidate kind codes).
-template <class T, class Pred>
-std::vector<T> filter_index(const std::vector<T>& v, Pred&& pred) {
-  size_t n = v.size();
-  std::vector<size_t> keep(n);
-  parallel_for(0, n, [&](size_t i) { keep[i] = pred(i) ? 1 : 0; });
-  size_t total = scan_exclusive(keep);
-  std::vector<T> out(total);
-  parallel_for(0, n, [&](size_t i) {
-    bool last = (i + 1 == n);
-    size_t next = last ? total : keep[i + 1];
-    if (next != keep[i]) out[keep[i]] = v[i];
+// Order-preserving emission, the one pack/flatten primitive: calls
+// body(i, out) exactly once for each i < n, where out(x) appends x, and
+// returns every appended item in index order. A single block runs inline
+// into one vector; more blocks each append into their own vector, and a
+// scan of the block sizes and a parallel copy fill the result. A vector
+// reserves one item per index at its first item, so a pack allocates once
+// per block and an emission of nothing allocates nothing. Bodies may have
+// side effects, since each runs once.
+template <class T, class Body>
+std::vector<T> emit(size_t n, Body&& body) {
+  auto run = [&](size_t lo, size_t hi, std::vector<T>& part) {
+    auto out = [&](const T& x) {
+      if (part.capacity() == 0) part.reserve(hi - lo);
+      part.push_back(x);
+    };
+    for (size_t i = lo; i < hi; ++i) body(i, out);
+  };
+  size_t nblocks = (n + kBlock - 1) / kBlock;
+  if (nblocks <= 1) {
+    std::vector<T> all;
+    run(0, n, all);
+    return all;
+  }
+  std::vector<std::vector<T>> parts(nblocks);
+  std::vector<size_t> off(nblocks);
+  parallel_for(0, nblocks, [&](size_t b) {
+    run(b * kBlock, std::min(n, (b + 1) * kBlock), parts[b]);
+    off[b] = parts[b].size();
   });
-  return out;
+  std::vector<T> all(scan_exclusive(off));
+  parallel_for(0, nblocks, [&](size_t b) {
+    std::copy(parts[b].begin(), parts[b].end(), all.begin() + off[b]);
+  });
+  return all;
 }
 
-// Keep the elements satisfying pred, preserving order.
+// The elements of v that satisfy pred (called once on each), in order.
 template <class T, class Pred>
 std::vector<T> filter(const std::vector<T>& v, Pred&& pred) {
-  return filter_index(v, [&](size_t i) { return pred(v[i]); });
+  return emit<T>(v.size(), [&](size_t i, auto& out) {
+    if (pred(v[i])) out(v[i]);
+  });
 }
 
 // Stable parallel merge of two sorted runs into `out`. Splits the larger

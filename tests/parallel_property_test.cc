@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <set>
@@ -64,6 +65,33 @@ TEST_P(SizeSweep, FilterKeepsOrderAndElements) {
   for (uint32_t x : v)
     if (pred(x)) expect.push_back(x);
   EXPECT_EQ(filter(v, pred), expect);
+  // The predicate runs once per element (claim-style predicates rely on it):
+  // filter an index array and count the calls per index.
+  std::vector<size_t> idx(n);
+  std::iota(idx.begin(), idx.end(), size_t{0});
+  std::vector<std::atomic<uint32_t>> calls(n);
+  auto kept = filter(idx, [&](size_t i) {
+    calls[i].fetch_add(1, std::memory_order_relaxed);
+    return pred(v[i]);
+  });
+  EXPECT_EQ(kept.size(), expect.size());
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(calls[i].load(), 1u) << "i=" << i;
+}
+
+TEST_P(SizeSweep, EmitKeepsIndexOrderAndRunsBodiesOnce) {
+  size_t n = GetParam();
+  // Index i emits i % 4 items (none for every fourth index), so blocks
+  // emit unequal counts.
+  std::vector<std::pair<size_t, size_t>> expect;
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < i % 4; ++j) expect.emplace_back(i, j);
+  std::vector<std::atomic<uint32_t>> calls(n);
+  auto got = emit<std::pair<size_t, size_t>>(n, [&](size_t i, auto& out) {
+    calls[i].fetch_add(1, std::memory_order_relaxed);
+    for (size_t j = 0; j < i % 4; ++j) out({i, j});
+  });
+  EXPECT_EQ(got, expect);
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(calls[i].load(), 1u) << "i=" << i;
 }
 
 TEST_P(SizeSweep, SortIsSortedPermutation) {
