@@ -211,15 +211,8 @@ class GraphConnectivity {
       if (e.u > e.v) std::swap(e.u, e.v);
       cand[i] = e;
     });
-    // The membership probes are hash lookups: classify in parallel, then
-    // emit the kept edges.
-    std::vector<uint8_t> keep(cand.size());
-    par::parallel_for(0, cand.size(), [&](size_t i) {
-      const Edge& e = cand[i];
-      keep[i] = e.u != e.v && e.u < n_ && e.v < n_ && !has_edge(e.u, e.v);
-    });
-    cand = par::emit<Edge>(cand.size(), [&](size_t i, auto& out) {
-      if (keep[i]) out(cand[i]);
+    cand = par::filter(cand, [&](const Edge& e) {
+      return e.u != e.v && e.u < n_ && e.v < n_ && !has_edge(e.u, e.v);
     });
     // Dedupe within the batch (keep the first occurrence of each key).
     par::sort(cand, [](const Edge& a, const Edge& b) {

@@ -53,8 +53,8 @@
 // whole-component O(n) rebuild, so single link()/cut() (batches of one)
 // cost O(height) like seq::UfoTree's. Their constant is higher: at one
 // worker, linking and then cutting every edge of the fig5 inputs
-// (n = 30000) takes 2.6x seq::UfoTree's time summed over the inputs, and
-// 2.2-3.5x per input (BENCH.md). Large batches keep the level-synchronous
+// (n = 30000) takes 2.6-2.8x seq::UfoTree's time summed over the inputs,
+// and 2.2-4.1x per input (BENCH.md). Large batches keep the level-synchronous
 // sharing that made the old backend fast on path/pref-attach inputs.
 //
 // Determinism: query answers depend only on the update sequence; the

@@ -5,7 +5,8 @@
 // matching asymptotics in the binary fork-join model (sorting-based
 // semisort: O(k log k) work, which at the batch sizes used here is
 // indistinguishable from the O(k) hashing variant). The blocked passes work
-// in blocks of kBlock items, and a pass over one block runs inline.
+// in blocks of kBlock items, and a pass over one block (or any pass of
+// emit with one worker) runs inline.
 #pragma once
 
 #include <algorithm>
@@ -85,12 +86,15 @@ T scan_exclusive(std::vector<T>& v) {
 
 // Order-preserving emission, the one pack/flatten primitive: calls
 // body(i, out) exactly once for each i < n, where out(x) appends x, and
-// returns every appended item in index order. A single block runs inline
-// into one vector; more blocks each append into their own vector, and a
-// scan of the block sizes and a parallel copy fill the result. A vector
-// reserves one item per index at its first item, so a pack allocates once
-// per block and an emission of nothing allocates nothing. Bodies may have
-// side effects, since each runs once.
+// returns every appended item in index order. With one worker, or at most
+// kBlock indices, it runs inline into one vector: on lists that short a
+// fork costs about what it saves, even for the O(height) edge walks of a
+// batch of 512 at two workers (BENCH.md). Over more blocks, each block
+// appends into its own vector, and a scan of the block sizes and a
+// parallel copy fill the result. A vector reserves one item per index at
+// its first item, so a pack allocates once per block and an emission of
+// nothing allocates nothing. Bodies may have side effects, since each runs
+// once.
 template <class T, class Body>
 std::vector<T> emit(size_t n, Body&& body) {
   auto run = [&](size_t lo, size_t hi, std::vector<T>& part) {
@@ -101,7 +105,7 @@ std::vector<T> emit(size_t n, Body&& body) {
     for (size_t i = lo; i < hi; ++i) body(i, out);
   };
   size_t nblocks = (n + kBlock - 1) / kBlock;
-  if (nblocks <= 1) {
+  if (nblocks <= 1 || num_workers() <= 1) {
     std::vector<T> all;
     run(0, n, all);
     return all;
