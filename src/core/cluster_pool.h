@@ -16,9 +16,12 @@
 //     reallocating three containers per batch.
 //
 // Thread-safety: alloc/free on both pools are safe to call concurrently
-// (spinlocked freelists + bump cursor); element storage itself is unlocked
-// and follows the owner-task discipline of the parallel backend. The
-// segment pointer table is std::atomic so ptr() on a handle published
+// from pool workers and the main thread. SlabPool serves its eight
+// smallest size classes from a lock-free cache per worker, indexed by
+// par::worker_id(), so no other thread may call it; its freelists and bump
+// cursor, and all of ObjectPool, are spinlocked. Element storage itself is
+// unlocked and follows the owner-task discipline of the parallel backend.
+// The segment pointer table is std::atomic so ptr() on a handle published
 // across a join barrier is race-free under TSan.
 #pragma once
 
@@ -27,9 +30,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <vector>
 
+#include "parallel/scheduler.h"
 #include "util/fault.h"
 
 namespace ufo::core {
@@ -84,7 +89,9 @@ inline uint32_t pow2_at_least(uint32_t v, uint32_t lo) {
 template <class T, unsigned Seg0Log = 10>
 class SlabPool {
  public:
-  SlabPool() = default;
+  SlabPool()
+      : caches_(std::make_unique<Cache[]>(
+            static_cast<size_t>(par::num_workers()))) {}
   SlabPool(const SlabPool&) = delete;
   SlabPool& operator=(const SlabPool&) = delete;
   ~SlabPool() {
@@ -114,28 +121,23 @@ class SlabPool {
   // cap must be a power of two in [kMinCap, 2^(kClasses-1)]. `level` is a
   // recycling locality hint: slabs freed by teardown at tree level L are
   // preferentially handed back to allocations at L (negative = don't care).
+  // The small classes go through the calling worker's cache, which ignores
+  // the hint until it refills.
   uint32_t alloc(uint32_t cap, int32_t level) {
+    // Injected allocation failure surfaces exactly like a real segment
+    // allocation failing.
+    if (UFO_FAULT_POINT("pool.slab.alloc")) throw std::bad_alloc();
     assert(std::has_single_bit(cap) && cap >= kMinCap);
     unsigned cls = static_cast<unsigned>(std::countr_zero(cap));
     assert(cls < kClasses);
-    unsigned lb = bucket_of(level);
-    {
-      SpinGuard g(class_lock_[cls]);
-      auto& exact = free_[cls][lb];
-      if (!exact.empty()) {
-        uint32_t h = exact.back();
-        exact.pop_back();
-        return h;
-      }
-      for (unsigned b = 0; b < kLevelBuckets; ++b) {
-        auto& fl = free_[cls][b];
-        if (!fl.empty()) {
-          uint32_t h = fl.back();
-          fl.pop_back();
-          return h;
-        }
-      }
+    if (cls < kMinClass + kCachedClasses) {
+      Cache& c = caches_[static_cast<size_t>(par::worker_id())];
+      unsigned k = cls - kMinClass;
+      if (c.n[k] == 0) refill(c, cls, level);
+      return c.h[k][--c.n[k]];
     }
+    uint32_t h;
+    if (take_free(cls, bucket_of(level), 1, &h) == 1) return h;
     return bump_alloc(cap);
   }
 
@@ -143,14 +145,29 @@ class SlabPool {
     assert(h != kNullSlab && std::has_single_bit(cap));
     unsigned cls = static_cast<unsigned>(std::countr_zero(cap));
     unsigned lb = bucket_of(level);
+    if (cls < kMinClass + kCachedClasses) {
+      Cache& c = caches_[static_cast<size_t>(par::worker_id())];
+      unsigned k = cls - kMinClass;
+      if (c.n[k] == kCacheSlots) {
+        // Full: hand the older half back to the shared freelist.
+        SpinGuard g(class_lock_[cls]);
+        auto& fl = free_[cls][lb];
+        fl.insert(fl.end(), c.h[k], c.h[k] + kCacheSlots / 2);
+        std::copy(c.h[k] + kCacheSlots / 2, c.h[k] + kCacheSlots, c.h[k]);
+        c.n[k] = kCacheSlots / 2;
+      }
+      c.h[k][c.n[k]++] = h;
+      return;
+    }
     SpinGuard g(class_lock_[cls]);
     free_[cls][lb].push_back(h);
   }
 
-  // Allocated segment bytes plus freelist bookkeeping. Call from quiescent
-  // code only (freelist capacities are read unlocked).
+  // Allocated segment bytes plus freelist and cache bookkeeping. Call from
+  // quiescent code only (freelist capacities are read unlocked).
   size_t memory_bytes() const {
-    size_t total = seg_bytes_.load(std::memory_order_relaxed);
+    size_t total = seg_bytes_.load(std::memory_order_relaxed) +
+                   static_cast<size_t>(par::num_workers()) * sizeof(Cache);
     for (unsigned c = 0; c < kClasses; ++c)
       for (unsigned b = 0; b < kLevelBuckets; ++b)
         total += free_[c][b].capacity() * sizeof(uint32_t);
@@ -163,6 +180,18 @@ class SlabPool {
   static constexpr unsigned kClasses = 28;
   static constexpr unsigned kLevelBuckets = 16;
   static constexpr unsigned kMaxSegs = 33 - Seg0Log;
+  static constexpr unsigned kMinClass = 2;  // log2(kMinCap)
+  static constexpr unsigned kCachedClasses = 8;
+  static constexpr uint32_t kCacheSlots = 32;
+  // A refill that finds the freelists empty bump-allocates this many
+  // elements at once (at least one slab): 16 slabs of the smallest class.
+  static constexpr uint32_t kBumpElems = 16 * kMinCap;
+
+  // One worker's free handles for the kCachedClasses smallest classes.
+  struct alignas(64) Cache {
+    uint32_t n[kCachedClasses] = {};
+    uint32_t h[kCachedClasses][kCacheSlots];
+  };
 
   static unsigned bucket_of(int32_t level) {
     if (level < 0) return 0;
@@ -171,10 +200,38 @@ class SlabPool {
                : kLevelBuckets - 1;
   }
 
+  // Pops up to `want` handles of class cls into out, level bucket lb
+  // first; returns how many it found.
+  uint32_t take_free(unsigned cls, unsigned lb, uint32_t want,
+                     uint32_t* out) {
+    SpinGuard g(class_lock_[cls]);
+    uint32_t got = 0;
+    for (unsigned i = 0; i <= kLevelBuckets && got < want; ++i) {
+      auto& fl = free_[cls][i == 0 ? lb : i - 1];
+      while (!fl.empty() && got < want) {
+        out[got++] = fl.back();
+        fl.pop_back();
+      }
+    }
+    return got;
+  }
+
+  // Fills half of an empty cache from the freelists or, when they are
+  // empty, with the slabs of one bump allocation of kBumpElems elements.
+  // The bound keeps what a cache strands below kBumpElems per class.
+  void refill(Cache& c, unsigned cls, int32_t level) {
+    unsigned k = cls - kMinClass;
+    c.n[k] = take_free(cls, bucket_of(level), kCacheSlots / 2, c.h[k]);
+    if (c.n[k] > 0) return;
+    uint32_t cap = 1u << cls;
+    uint32_t slabs = cap < kBumpElems ? kBumpElems / cap : 1;
+    uint32_t base = bump_alloc(cap * slabs);
+    for (uint32_t i = 0; i < slabs; ++i)
+      c.h[k][i] = base + (slabs - 1 - i) * cap;
+    c.n[k] = slabs;
+  }
+
   uint32_t bump_alloc(uint32_t cap) {
-    // Injected allocation failure surfaces exactly like a real segment
-    // allocation failing; SpinGuard unlocks on unwind.
-    if (UFO_FAULT_POINT("pool.slab.alloc")) throw std::bad_alloc();
     SpinGuard g(bump_lock_);
     while (seg_elems(cur_seg_) - cur_off_ < cap) {
       carve_remainder();
@@ -218,6 +275,7 @@ class SlabPool {
                          std::memory_order_relaxed);
   }
 
+  std::unique_ptr<Cache[]> caches_;  // one per pool worker
   std::atomic<T*> segs_[kMaxSegs] = {};
   std::atomic<size_t> seg_bytes_{0};
   Spinlock bump_lock_;

@@ -4,9 +4,10 @@
 // the ParlayLib primitives the paper's implementation relies on, with
 // matching asymptotics in the binary fork-join model (sorting-based
 // semisort: O(k log k) work, which at the batch sizes used here is
-// indistinguishable from the O(k) hashing variant). The blocked passes work
-// in blocks of kBlock items, and a pass over one block (or any pass of
-// emit with one worker) runs inline.
+// indistinguishable from the O(k) hashing variant). reduce and scan work
+// in blocks of kBlock items and run one block inline; emit splits any list
+// longer than kEmitMin indices across workers, and runs inline with one
+// worker.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +22,9 @@ namespace ufo::par {
 
 // Items per block of the blocked passes.
 inline constexpr size_t kBlock = 2048;
+
+// Shortest list emit splits, and its smallest block.
+inline constexpr size_t kEmitMin = 256;
 
 // Reduce v with an associative op and identity element.
 template <class T, class Op>
@@ -87,12 +91,13 @@ T scan_exclusive(std::vector<T>& v) {
 // Order-preserving emission, the one pack/flatten primitive: calls
 // body(i, out) exactly once for each i < n, where out(x) appends x, and
 // returns every appended item in index order. With one worker, or at most
-// kBlock indices, it runs inline into one vector: on lists that short a
-// fork costs about what it saves, even for the O(height) edge walks of a
-// batch of 512 at two workers (BENCH.md). Over more blocks, each block
-// appends into its own vector, and a scan of the block sizes and a
-// parallel copy fill the result. A vector reserves one item per index at
-// its first item, so a pack allocates once per block and an emission of
+// kEmitMin indices, it runs inline into one vector. Longer lists split
+// into blocks of max(kEmitMin, n / (8 * workers)) indices, at most kBlock:
+// each block appends into its own vector, and a scan of the block sizes
+// and a copy fill the result. A fork costs well under a microsecond
+// (bench_fork_join), so even the O(height) edge walks of a batch of 512
+// spread across workers. A vector reserves one item per index at its
+// first item, so a pack allocates once per block and an emission of
 // nothing allocates nothing. Bodies may have side effects, since each runs
 // once.
 template <class T, class Body>
@@ -104,22 +109,31 @@ std::vector<T> emit(size_t n, Body&& body) {
     };
     for (size_t i = lo; i < hi; ++i) body(i, out);
   };
-  size_t nblocks = (n + kBlock - 1) / kBlock;
-  if (nblocks <= 1 || num_workers() <= 1) {
+  size_t workers = static_cast<size_t>(num_workers());
+  if (n <= kEmitMin || workers <= 1) {
     std::vector<T> all;
     run(0, n, all);
     return all;
   }
+  size_t block = std::clamp((n + 8 * workers - 1) / (8 * workers), kEmitMin,
+                            kBlock);
+  size_t nblocks = (n + block - 1) / block;
   std::vector<std::vector<T>> parts(nblocks);
   std::vector<size_t> off(nblocks);
-  parallel_for(0, nblocks, [&](size_t b) {
-    run(b * kBlock, std::min(n, (b + 1) * kBlock), parts[b]);
-    off[b] = parts[b].size();
-  });
+  parallel_for(
+      0, nblocks,
+      [&](size_t b) {
+        run(b * block, std::min(n, (b + 1) * block), parts[b]);
+        off[b] = parts[b].size();
+      },
+      1);
   std::vector<T> all(scan_exclusive(off));
-  parallel_for(0, nblocks, [&](size_t b) {
-    std::copy(parts[b].begin(), parts[b].end(), all.begin() + off[b]);
-  });
+  parallel_for(
+      0, nblocks,
+      [&](size_t b) {
+        std::copy(parts[b].begin(), parts[b].end(), all.begin() + off[b]);
+      },
+      all.size() <= kBlock ? nblocks : 1);
   return all;
 }
 

@@ -2,11 +2,16 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 #include "obs/metrics.h"
 
@@ -14,48 +19,107 @@ namespace ufo::par {
 
 namespace {
 
-// Worker id of the calling thread: pool workers set theirs at spawn;
-// external threads (including main) default to 0 and share deque 0.
-thread_local int t_worker_id = 0;
+using internal::Job;
 
-// A work-stealing pool: every worker owns a deque and works LIFO off its
-// back (hot caches, depth-first fork order), while thieves take FIFO off
-// the front (big, old subtrees — the classic steal-half-the-range effect
-// for the recursive primitives). Each deque has its own lock with critical
-// sections of a few instructions, so the previous single mutex + condvar
-// around one shared queue — which serialized every submit/pop at high
-// worker counts — is gone; the only global state is the sleep bookkeeping.
-// The public API (submit / try_run_one / help_while*) is unchanged, so no
-// algorithm code is touched.
-class WorkDeque {
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Fixed-capacity Chase–Lev deque of job pointers (Chase & Lev, SPAA'05, in
+// the C11 form of Lê et al., PPoPP'13). The owner pushes and pops at the
+// bottom; thieves take the oldest job at the top with one CAS, and the
+// owner races them with the same CAS only for the last job. Every access
+// to top and bottom is seq_cst in place of the paper's fences, which costs
+// one locked instruction per push and pop on x86 and keeps the protocol
+// visible to TSan. A slot is read before the CAS that claims it; a stale
+// read loses the CAS, because the owner reuses a slot only after top has
+// moved past it.
+class Deque {
  public:
-  void push(std::function<void()> task) {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push_back(std::move(task));
-  }
+  static constexpr int64_t kCapacity = 256;  // power of two
 
-  // Owner side: newest task first.
-  bool pop(std::function<void()>* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tasks_.empty()) return false;
-    *out = std::move(tasks_.back());
-    tasks_.pop_back();
+  bool push(Job* j) {
+    int64_t b = bottom_.load(std::memory_order_relaxed);
+    int64_t t = top_.load(std::memory_order_acquire);
+    if (b - t >= kCapacity) return false;
+    slots_[b & (kCapacity - 1)].store(j, std::memory_order_relaxed);
+    bottom_.store(b + 1, std::memory_order_seq_cst);
     return true;
   }
 
-  // Thief side: oldest task first.
-  bool steal(std::function<void()>* out) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (tasks_.empty()) return false;
-    *out = std::move(tasks_.front());
-    tasks_.pop_front();
-    return true;
+  // Owner side: the newest job, or null if thieves took everything.
+  Job* pop() {
+    int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
+    bottom_.store(b, std::memory_order_seq_cst);
+    int64_t t = top_.load(std::memory_order_seq_cst);
+    if (t > b) {
+      bottom_.store(b + 1, std::memory_order_relaxed);
+      return nullptr;
+    }
+    Job* j = slots_[b & (kCapacity - 1)].load(std::memory_order_relaxed);
+    if (t == b) {
+      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                        std::memory_order_relaxed))
+        j = nullptr;
+      bottom_.store(b + 1, std::memory_order_relaxed);
+    }
+    return j;
+  }
+
+  // Thief side: the oldest job, or null if empty or another thief won.
+  Job* steal() {
+    int64_t t = top_.load(std::memory_order_seq_cst);
+    int64_t b = bottom_.load(std::memory_order_seq_cst);
+    if (t >= b) return nullptr;
+    Job* j = slots_[t & (kCapacity - 1)].load(std::memory_order_relaxed);
+    if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
+                                      std::memory_order_relaxed))
+      return nullptr;
+    return j;
+  }
+
+  bool empty() const {
+    return top_.load(std::memory_order_seq_cst) >=
+           bottom_.load(std::memory_order_seq_cst);
   }
 
  private:
-  std::mutex mu_;
-  std::deque<std::function<void()>> tasks_;
+  alignas(64) std::atomic<int64_t> top_{0};
+  alignas(64) std::atomic<int64_t> bottom_{0};
+  alignas(64) std::atomic<Job*> slots_[kCapacity] = {};
 };
+
+// Worker id and deque of the calling thread. Pool workers set both at
+// spawn and the thread that builds the pool owns deque 0; any other
+// thread keeps a null deque and forks inline.
+thread_local int t_worker_id = 0;
+thread_local Deque* t_deque = nullptr;
+
+// A thief that finds no job keeps stealing, with a pause between sweeps,
+// for this long before it sleeps. It must cover the gap between two
+// batch phases: a sleeping thief can take tens to hundreds of microseconds
+// to wake on a virtualized host, and the fork that woke it waits on it
+// meanwhile.
+constexpr auto kIdleWindow = std::chrono::milliseconds(5);
+
+// A worker that finds no job pauses before its next sweep, twice as long
+// after each failed sweep up to kMaxPauses (about a microsecond), so idle
+// thieves do not pull the owners' deque lines away on every fork. Every
+// kSweepsPerYield failed sweeps (about a millisecond) it yields, so that an
+// oversubscribed host still runs the thief a spinning worker waits on. A
+// yield can hand the core to another process for a whole time slice, so
+// it must stay rare; an idle worker reads the clock every kSweepsPerCheck.
+constexpr unsigned kMaxPauses = 32;
+constexpr unsigned kSweepsPerYield = 1024;
+constexpr unsigned kSweepsPerCheck = 64;
+
+inline unsigned pauses_after(unsigned fails) {
+  return fails < 5 ? 1u << fails : kMaxPauses;
+}
 
 class Pool {
  public:
@@ -64,47 +128,35 @@ class Pool {
     return pool;
   }
 
-  int workers() const { return workers_; }
+  int workers() const { return n_; }
 
-  void submit(std::function<void()> task) {
-    UFO_STAT("sched.submits", 1);
-    deques_[slot()].push(std::move(task));
-    // seq_cst pairs with the sleeper protocol in worker_loop: if this
-    // increment is not visible to a worker's re-check under sleep_mu_,
-    // then that worker's sleepers_ increment is visible here and we take
-    // the lock to notify — no lost wakeup without locking on the fast
-    // path (sleepers_ == 0 while the pool is busy).
-    pending_.fetch_add(1, std::memory_order_seq_cst);
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-      std::lock_guard<std::mutex> lock(sleep_mu_);
-      cv_.notify_one();
+  void fork2(Job& left, Job& right) {
+    Deque* d = t_deque;
+    if (d == nullptr || !d->push(&right)) {
+      left.run(&left);
+      right.run(&right);
+      return;
     }
-  }
-
-  // Run one pending task — own deque first, then steal in a rotating sweep.
-  // Returns false if every deque came up empty.
-  bool try_run_one() {
-    std::function<void()> task;
-    size_t self = slot();
-    if (!deques_[self].pop(&task)) {
-      size_t n = deques_.size();
-      size_t start = victim_seed()++;
-      bool found = false;
-      for (size_t i = 0; i < n && !found; ++i) {
-        size_t v = (start + i) % n;
-        if (v == self) continue;
-        found = deques_[v].steal(&task);
-      }
-      if (!found) {
-        UFO_STAT("sched.failed_steals", 1);
-        return false;
-      }
-      UFO_STAT("sched.steals", 1);
-    }
-    pending_.fetch_sub(1, std::memory_order_relaxed);
     UFO_STAT("sched.tasks", 1);
-    task();
-    return true;
+    // seq_cst against the sleeper's increment in sleep(): either this
+    // load sees it and notifies, or the sleeper's predicate sees the job.
+    if (sleepers_.load(std::memory_order_seq_cst) > 0) wake_one();
+    try {
+      left.run(&left);
+    } catch (...) {
+      // The right arm's record dies with this frame: take it back, or
+      // wait for the thief, before unwinding.
+      if (d->pop() == nullptr) wait_for(right);
+      throw;
+    }
+    // Balanced nesting leaves the right arm on top unless a thief took
+    // it, and then it took everything older too.
+    if (d->pop() != nullptr) {
+      right.run(&right);
+      return;
+    }
+    wait_for(right);
+    if (right.error) std::rethrow_exception(right.error);
   }
 
   ~Pool() {
@@ -119,15 +171,16 @@ class Pool {
     for (auto& t : threads_) t.join();
   }
 
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+
  private:
-  Pool() {
-    workers_ = default_workers();
-    // One deque per pool thread plus one shared by external submitters
-    // (the main thread and any other caller hash to slot 0).
-    deques_ = std::vector<WorkDeque>(static_cast<size_t>(workers_));
-    for (int i = 1; i < workers_; ++i) {
+  Pool() : n_(default_workers()), deques_(new Deque[n_]) {
+    t_deque = &deques_[0];
+    for (int i = 1; i < n_; ++i) {
       threads_.emplace_back([this, i] {
         t_worker_id = i;
+        t_deque = &deques_[i];
         worker_loop();
       });
     }
@@ -142,51 +195,108 @@ class Pool {
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
 
-  size_t slot() const {
-    return static_cast<size_t>(t_worker_id) % deques_.size();
-  }
-
-  static size_t& victim_seed() {
-    thread_local size_t seed =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    return seed;
-  }
-
-  void worker_loop() {
-    constexpr int kSpins = 64;  // brief steal-spin before sleeping
-    for (;;) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      bool ran = false;
-      for (int s = 0; s < kSpins && !ran; ++s) {
-        ran = try_run_one();
-        if (!ran) std::this_thread::yield();
+  // One sweep over the other workers' deques from a random start.
+  Job* steal_once() {
+    thread_local uint64_t seed =
+        0x9e3779b97f4a7c15ull * static_cast<uint64_t>(t_worker_id + 1);
+    seed ^= seed << 13;
+    seed ^= seed >> 7;
+    seed ^= seed << 17;
+    int self = t_worker_id;
+    int start = static_cast<int>(seed % static_cast<uint64_t>(n_));
+    for (int i = 0; i < n_; ++i) {
+      int v = start + i < n_ ? start + i : start + i - n_;
+      if (v == self) continue;
+      if (Job* j = deques_[v].steal()) {
+        UFO_STAT("sched.steals", 1);
+        return j;
       }
-      if (ran) continue;
-      UFO_STAT("sched.idle_sleeps", 1);
-      // Precise sleep: register as a sleeper, then re-check for work under
-      // the lock before blocking indefinitely. A submit that misses our
-      // sleepers_ increment (seq_cst) must have published its pending_
-      // increment first, so the predicate re-check sees it; a submit that
-      // sees the increment notifies under sleep_mu_. Either way no wakeup
-      // is lost, and an idle pool blocks at zero cost.
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      sleepers_.fetch_add(1, std::memory_order_seq_cst);
-      cv_.wait(lock, [this] {
-        return stop_.load(std::memory_order_acquire) ||
-               pending_.load(std::memory_order_seq_cst) > 0;
-      });
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    UFO_STAT("sched.failed_steals", 1);
+    return nullptr;
+  }
+
+  static void run_stolen(Job* j) {
+    try {
+      j->run(j);
+    } catch (...) {
+      j->error = std::current_exception();
+    }
+    j->done.store(true, std::memory_order_release);
+  }
+
+  // A forker whose right arm was stolen runs other jobs until it is done,
+  // watching the done flag while it backs off.
+  void wait_for(Job& j) {
+    unsigned fails = 0;
+    while (!j.done.load(std::memory_order_acquire)) {
+      if (Job* s = steal_once()) {
+        run_stolen(s);
+        fails = 0;
+        continue;
+      }
+      if (++fails % kSweepsPerYield == 0) std::this_thread::yield();
+      for (unsigned p = pauses_after(fails);
+           p > 0 && !j.done.load(std::memory_order_acquire); --p)
+        cpu_relax();
     }
   }
 
-  int workers_;
-  std::vector<WorkDeque> deques_;
-  std::vector<std::thread> threads_;
-  std::atomic<size_t> pending_{0};
+  void worker_loop() {
+    using Clock = std::chrono::steady_clock;
+    auto deadline = Clock::now() + kIdleWindow;
+    unsigned fails = 0;
+    while (!stop_.load(std::memory_order_acquire)) {
+      if (Job* j = steal_once()) {
+        run_stolen(j);
+        fails = 0;
+        deadline = Clock::now() + kIdleWindow;
+        continue;
+      }
+      if (++fails % kSweepsPerCheck == 0 && Clock::now() >= deadline) {
+        sleep();
+        fails = 0;
+        deadline = Clock::now() + kIdleWindow;
+        continue;
+      }
+      if (fails % kSweepsPerYield == 0) std::this_thread::yield();
+      for (unsigned p = pauses_after(fails); p > 0; --p) cpu_relax();
+    }
+  }
+
+  bool has_work() const {
+    for (int i = 0; i < n_; ++i)
+      if (!deques_[i].empty()) return true;
+    return false;
+  }
+
+  // Register as a sleeper, then re-check for work under the lock before
+  // blocking: a fork that misses the increment (seq_cst) pushed its job
+  // first, so the predicate sees it; a fork that sees it notifies under
+  // sleep_mu_. Either way no wakeup is lost, and an idle pool blocks at
+  // zero cost.
+  void sleep() {
+    UFO_STAT("sched.idle_sleeps", 1);
+    std::unique_lock<std::mutex> lock(sleep_mu_);
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    cv_.wait(lock, [this] {
+      return stop_.load(std::memory_order_acquire) || has_work();
+    });
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  void wake_one() {
+    std::lock_guard<std::mutex> lock(sleep_mu_);
+    cv_.notify_one();
+  }
+
+  const int n_;
+  std::unique_ptr<Deque[]> deques_;
   std::atomic<int> sleepers_{0};
   std::atomic<bool> stop_{false};
   std::mutex sleep_mu_;
   std::condition_variable cv_;
+  std::vector<std::thread> threads_;  // last: joined before the rest dies
 };
 
 }  // namespace
@@ -202,23 +312,7 @@ int worker_id() { return t_worker_id; }
 
 namespace internal {
 
-void submit(std::function<void()> task) {
-  Pool::instance().submit(std::move(task));
-}
-
-void help_while(const std::atomic<bool>& done) {
-  auto& pool = Pool::instance();
-  while (!done.load(std::memory_order_acquire)) {
-    if (!pool.try_run_one()) std::this_thread::yield();
-  }
-}
-
-void help_while_counter(const std::atomic<size_t>& remaining) {
-  auto& pool = Pool::instance();
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    if (!pool.try_run_one()) std::this_thread::yield();
-  }
-}
+void fork2(Job& left, Job& right) { Pool::instance().fork2(left, right); }
 
 }  // namespace internal
 

@@ -1,19 +1,29 @@
 // A small structured fork-join runtime, standing in for ParlayLib.
 //
-// The model is nested fork-join (binary forking): `par_do` forks two subtasks,
-// `parallel_for` dynamically splits an index range across workers. Blocked
-// waiters *help*: while waiting for a forked task they execute other pending
-// tasks, so nested parallelism cannot deadlock on the shared pool.
+// The model is nested fork-join (binary forking): `par_do` forks two arms,
+// and `parallel_for` halves an index range recursively through `par_do`.
+// Every worker owns a fixed-capacity Chase–Lev deque of job records. A
+// fork pushes a record for its right arm that lives in the forking frame
+// (a function pointer, a done flag and an error slot; no heap allocation,
+// no lock), runs the left arm, then pops the record back and runs it
+// inline unless a thief took it. A forker whose right arm was stolen
+// steals other work until the thief marks the record done, so nested
+// parallelism cannot deadlock. Idle workers steal, spinning, for a few
+// milliseconds and then sleep until the next fork (DESIGN.md, "Fork-join
+// runtime").
 //
 // Worker count defaults to std::thread::hardware_concurrency() and can be
 // pinned with the UFOTREE_NUM_THREADS environment variable (1 disables all
 // threading and runs inline, which is also the fallback on 1-core machines).
+// Fork-join calls may come from pool workers and from the one external
+// thread that first used the pool (normally main); any other thread runs
+// both arms of its forks inline.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
-#include <memory>
+#include <exception>
+#include <type_traits>
 
 namespace ufo::par {
 
@@ -25,19 +35,31 @@ int num_workers();
 
 // Id of the calling thread within the pool, in [0, num_workers()): pool
 // workers get 1..num_workers()-1, and the main thread (or any other
-// external submitter) is 0. Fixed for a thread's lifetime — benches and
-// the telemetry layer use it to label per-worker output and to index
-// sharded counters.
+// external caller) is 0. Fixed for a thread's lifetime — benches, the
+// telemetry layer and the slab pools' per-worker caches index by it.
 int worker_id();
 
 namespace internal {
 
-// Type-erased task submission; prefer the templated wrappers below.
-void submit(std::function<void()> task);
+// A forked arm: what a deque slot points at. It lives in the forking
+// frame, which does not return before the record is done.
+struct Job {
+  explicit Job(void (*fn)(Job*)) : run(fn) {}
+  void (*run)(Job*);
+  std::atomic<bool> done{false};
+  std::exception_ptr error;  // set by a thief whose run threw
+};
 
-// Run pending tasks while waiting for a condition.
-void help_while(const std::atomic<bool>& done);
-void help_while_counter(const std::atomic<size_t>& remaining);
+template <class F>
+struct FnJob : Job {
+  explicit FnJob(F& f) : Job(&FnJob::call), fn(&f) {}
+  static void call(Job* j) { (*static_cast<FnJob*>(j)->fn)(); }
+  F* fn;
+};
+
+// Runs left inline and right in parallel with it when a thief takes it;
+// returns when both are done, rethrowing the first exception either threw.
+void fork2(Job& left, Job& right);
 
 }  // namespace internal
 
@@ -49,30 +71,28 @@ void par_do(L&& left, R&& right) {
     right();
     return;
   }
-  // Shared state keeps the queued closure valid even if it is popped after
-  // this call frame has moved on (it then sees `claimed` and does nothing).
-  struct State {
-    std::atomic<bool> done{false};
-    std::atomic<bool> claimed{false};
-  };
-  auto st = std::make_shared<State>();
-  R* right_ptr = &right;
-  internal::submit([st, right_ptr] {
-    if (!st->claimed.exchange(true, std::memory_order_acq_rel)) {
-      (*right_ptr)();
-      st->done.store(true, std::memory_order_release);
-    }
-  });
-  left();
-  if (!st->claimed.exchange(true, std::memory_order_acq_rel)) {
-    right();  // nobody picked it up; run inline
-    return;
-  }
-  internal::help_while(st->done);
+  internal::FnJob<std::remove_reference_t<L>> l(left);
+  internal::FnJob<std::remove_reference_t<R>> r(right);
+  internal::fork2(l, r);
 }
 
-// parallel_for over [lo, hi). `grain` is the minimum block size handed to a
-// worker; 0 picks a default of ~8 blocks per worker.
+namespace internal {
+
+template <class F>
+void for_range(size_t lo, size_t hi, size_t grain, F& f) {
+  if (hi - lo <= grain) {
+    for (size_t i = lo; i < hi; ++i) f(i);
+    return;
+  }
+  size_t mid = lo + (hi - lo) / 2;
+  par_do([&] { for_range(lo, mid, grain, f); },
+         [&] { for_range(mid, hi, grain, f); });
+}
+
+}  // namespace internal
+
+// parallel_for over [lo, hi). `grain` is the largest range run without a
+// further split; 0 picks a default of ~8 leaves per worker.
 template <class F>
 void parallel_for(size_t lo, size_t hi, F&& f, size_t grain = 0) {
   if (hi <= lo) return;
@@ -86,41 +106,7 @@ void parallel_for(size_t lo, size_t hi, F&& f, size_t grain = 0) {
     grain = (n + 8 * static_cast<size_t>(workers) - 1) /
             (8 * static_cast<size_t>(workers));
   if (grain < 1) grain = 1;
-  size_t nblocks = (n + grain - 1) / grain;
-  if (nblocks <= 1) {
-    for (size_t i = lo; i < hi; ++i) f(i);
-    return;
-  }
-
-  struct State {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> remaining{0};
-    size_t lo, hi, grain, nblocks;
-  };
-  auto st = std::make_shared<State>();
-  st->lo = lo;
-  st->hi = hi;
-  st->grain = grain;
-  st->nblocks = nblocks;
-  st->remaining.store(nblocks, std::memory_order_relaxed);
-
-  F* fp = &f;
-  auto run_blocks = [st, fp] {
-    for (;;) {
-      size_t b = st->next.fetch_add(1, std::memory_order_relaxed);
-      if (b >= st->nblocks) return;  // safe even after caller returned
-      size_t start = st->lo + b * st->grain;
-      size_t end = start + st->grain < st->hi ? start + st->grain : st->hi;
-      for (size_t i = start; i < end; ++i) (*fp)(i);
-      st->remaining.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  };
-
-  size_t helpers = static_cast<size_t>(workers - 1);
-  if (helpers > nblocks - 1) helpers = nblocks - 1;
-  for (size_t t = 0; t < helpers; ++t) internal::submit(run_blocks);
-  run_blocks();
-  internal::help_while_counter(st->remaining);
+  internal::for_range(lo, hi, grain, f);
 }
 
 }  // namespace ufo::par

@@ -139,7 +139,6 @@ class TopologyTree {
   uint32_t alloc_cluster(int32_t level);
   void free_cluster(uint32_t c);
 
-  size_t cluster_degree(uint32_t c) const { return clusters_[c].nbrs.size(); }
   bool adj_contains(uint32_t c, uint32_t d) const;
   void adj_remove(uint32_t c, uint32_t d);
 

@@ -137,8 +137,8 @@ TEST_P(SizeSweep, GroupByKeyPartitionsExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
-                         ::testing::Values(0, 1, 2, 3, 17, 100, 2047, 2048,
-                                           2049, 10000, 100000),
+                         ::testing::Values(0, 1, 2, 3, 17, 100, 256, 257,
+                                           2047, 2048, 2049, 10000, 100000),
                          [](const auto& info) {
                            return "n" + std::to_string(info.param);
                          });

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "parallel/hash_table.h"
 #include "parallel/primitives.h"
@@ -55,6 +59,82 @@ TEST(Scheduler, NestedParallelFor) {
     parallel_for(0, n, [&](size_t j) { hits[i * n + j].fetch_add(1); });
   });
   for (size_t i = 0; i < n * n; ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+// Forks nested deeper than a worker's deque holds (256 jobs) run both
+// arms inline once the deque is full; every arm still runs exactly once.
+void nest(size_t depth, std::vector<int>& left, std::vector<int>& right) {
+  if (depth == 0) return;
+  par_do(
+      [&] {
+        left[depth - 1] += 1;
+        nest(depth - 1, left, right);
+      },
+      [&] { right[depth - 1] += 1; });
+}
+
+TEST(Scheduler, ParDoDeeperThanDequeRunsInline) {
+  constexpr size_t kDepth = 1000;
+  std::vector<int> left(kDepth, 0), right(kDepth, 0);
+  nest(kDepth, left, right);
+  for (size_t d = 0; d < kDepth; ++d) {
+    EXPECT_EQ(left[d], 1) << d;
+    EXPECT_EQ(right[d], 1) << d;
+  }
+}
+
+// Idle workers sleep after a window of a few milliseconds; a fork must wake
+// them (or run without them) every time, with no wakeup lost.
+TEST(Scheduler, ParallelForAfterWorkersSleep) {
+  constexpr size_t n = 4096;
+  std::vector<int> hits(n, 0);
+  for (int round = 1; round <= 50; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(12));
+    parallel_for(0, n, [&](size_t i) { hits[i] += 1; });
+    ASSERT_EQ(hits[0], round);
+    ASSERT_EQ(hits[n - 1], round);
+  }
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 50) << i;
+}
+
+// An exception in either arm reaches the forker, whether the arm ran inline
+// or on a thief, and the fork returns only after both arms are done.
+TEST(Scheduler, ParDoPropagatesExceptions) {
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(par_do([&] { ran += 1; },
+                        [&] {
+                          ran += 1;
+                          throw std::runtime_error("right");
+                        }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 2);
+    EXPECT_THROW(parallel_for(0, 64,
+                              [&](size_t i) {
+                                if (i == 37) throw std::runtime_error("body");
+                              }),
+                 std::runtime_error);
+  }
+}
+
+void check_ids(int depth, std::atomic<int>& bad, std::atomic<int>& leaves) {
+  int id = worker_id();
+  if (id < 0 || id >= num_workers()) bad.fetch_add(1);
+  if (depth == 0) {
+    leaves.fetch_add(1);
+    return;
+  }
+  par_do([&] { check_ids(depth - 1, bad, leaves); },
+         [&] { check_ids(depth - 1, bad, leaves); });
+  id = worker_id();
+  if (id < 0 || id >= num_workers()) bad.fetch_add(1);
+}
+
+TEST(Scheduler, WorkerIdInRangeUnderNestedParDo) {
+  std::atomic<int> bad{0}, leaves{0};
+  check_ids(12, bad, leaves);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(leaves.load(), 1 << 12);
 }
 
 TEST(Primitives, Reduce) {
