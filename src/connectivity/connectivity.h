@@ -204,50 +204,28 @@ class GraphConnectivity {
   // batch is still fully applied).
   BatchStatus batch_insert(const EdgeList& edges) {
     if (edges.empty()) return BatchStatus::kOk;
-    // Phase 1 (parallel): canonicalize and drop self-loops + present edges.
-    EdgeList cand(edges.size());
-    par::parallel_for(0, edges.size(), [&](size_t i) {
-      Edge e = edges[i];
-      if (e.u > e.v) std::swap(e.u, e.v);
-      cand[i] = e;
+    // Phase 1 (parallel): the first occurrence of each new edge, in key
+    // order (DESIGN.md, "Determinism"); self-loops and present edges drop
+    // out.
+    EdgeList cand = first_occurrences(edges, [&](const Edge& e) {
+      return e.u != e.v && e.v < n_ && !has_edge(e.u, e.v);
     });
-    cand = par::filter(cand, [&](const Edge& e) {
-      return e.u != e.v && e.u < n_ && e.v < n_ && !has_edge(e.u, e.v);
-    });
-    // Dedupe within the batch (keep the first occurrence of each key).
-    par::sort(cand, [](const Edge& a, const Edge& b) {
-      return edge_key(a.u, a.v) < edge_key(b.u, b.v);
-    });
-    cand.erase(std::unique(cand.begin(), cand.end(),
-                           [](const Edge& a, const Edge& b) {
-                             return edge_key(a.u, a.v) == edge_key(b.u, b.v);
-                           }),
-               cand.end());
     if (cand.empty()) return BatchStatus::kOk;
 
-    // Phase 2: stage through a union-find over the batch endpoints, seeded
-    // so endpoints sharing a forest component start united.
-    std::vector<Vertex> verts;
-    verts.reserve(2 * cand.size());
-    for (const Edge& e : cand) {
-      verts.push_back(e.u);
-      verts.push_back(e.v);
-    }
-    par::remove_duplicates(verts);
-    // An endpoint's union-find slot is its index in the sorted verts.
-    auto local = [&](Vertex v) {
-      return static_cast<size_t>(
-          std::lower_bound(verts.begin(), verts.end(), v) - verts.begin());
-    };
-    util::UnionFind stage(verts.size());
-    seed_components(verts, &stage);
-
+    // Phase 2: stage through a union-find over the forest components of the
+    // endpoints, so an edge joins the tree batch only when it joins two
+    // components that the batch's earlier tree edges have not joined. The
+    // pieces are freed before the forest grows.
     EdgeList tree_batch, nontree_batch;
-    for (const Edge& e : cand) {
-      if (stage.unite(local(e.u), local(e.v)))
-        tree_batch.push_back(e);
-      else
-        nontree_batch.push_back(e);
+    {
+      Pieces pc = endpoint_pieces(cand);
+      util::UnionFind stage(pc.groups.keys.size());
+      for (size_t i = 0; i < cand.size(); ++i) {
+        if (stage.unite(pc.of[2 * i], pc.of[2 * i + 1]))
+          tree_batch.push_back(cand[i]);
+        else
+          nontree_batch.push_back(cand[i]);
+      }
     }
 
     // Phase 3: apply. The tree batch is mutually independent by staging.
@@ -282,20 +260,7 @@ class GraphConnectivity {
   // kOk.
   BatchStatus batch_erase(const EdgeList& edges) {
     if (edges.empty()) return BatchStatus::kOk;
-    EdgeList cand(edges.size());
-    par::parallel_for(0, edges.size(), [&](size_t i) {
-      Edge e = edges[i];
-      if (e.u > e.v) std::swap(e.u, e.v);
-      cand[i] = e;
-    });
-    par::sort(cand, [](const Edge& a, const Edge& b) {
-      return edge_key(a.u, a.v) < edge_key(b.u, b.v);
-    });
-    cand.erase(std::unique(cand.begin(), cand.end(),
-                           [](const Edge& a, const Edge& b) {
-                             return edge_key(a.u, a.v) == edge_key(b.u, b.v);
-                           }),
-               cand.end());
+    EdgeList cand = first_occurrences(edges, [](const Edge&) { return true; });
     // Classify in parallel: 1 = non-tree, 2 = tree (in the weight map but
     // not the non-tree store), 0 = absent.
     std::vector<uint8_t> kind(cand.size());
@@ -545,35 +510,52 @@ class GraphConnectivity {
     return weight_.get(edge_key(u, v), Weight{1});
   }
 
-  // (component id, index) for vertex_at(0..n-1): the batched root climb,
-  // one block of vertices per task.
-  template <class VertexAt>
-  std::vector<std::pair<uint32_t, uint32_t>> keyed_components(
-      size_t n, VertexAt vertex_at) const {
+  // Endpoint j of an edge list: edges[j / 2].u for even j, .v for odd j.
+  static Vertex endpoint(const EdgeList& edges, size_t j) {
+    return (j & 1) ? edges[j >> 1].v : edges[j >> 1].u;
+  }
+
+  // The first occurrence of each distinct edge of `edges` that passes keep,
+  // with u <= v, in ascending edge-key order.
+  template <class Keep>
+  static EdgeList first_occurrences(const EdgeList& edges, Keep&& keep) {
+    par::Groups<uint64_t> g = par::group_by(edges.size(), [&](size_t i) {
+      return edge_key(edges[i].u, edges[i].v);
+    });
+    return par::emit<Edge>(g.keys.size(), [&](size_t j, auto& out) {
+      Edge e = edges[g.at[g.start[j]]];
+      if (e.u > e.v) std::swap(e.u, e.v);
+      if (keep(e)) out(e);
+    });
+  }
+
+  // The endpoints of `edges` grouped by forest component: group p of
+  // `groups` is one component (a piece), keyed by its root cluster, and
+  // of[j] is endpoint j's piece.
+  struct Pieces {
+    par::Groups<uint32_t> groups;
+    std::vector<uint32_t> of;
+  };
+  Pieces endpoint_pieces(const EdgeList& edges) const {
+    // The batched root climb, one block of endpoints per task.
     constexpr size_t kBlock = 2 * core::kClimbBlock;
-    std::vector<std::pair<uint32_t, uint32_t>> keyed(n);
+    const size_t n = 2 * edges.size();
+    std::vector<uint32_t> root(n);
     par::parallel_for(0, (n + kBlock - 1) / kBlock, [&](size_t b) {
       const size_t lo = b * kBlock;
       const size_t len = std::min(kBlock, n - lo);
       Vertex vs[kBlock] = {};  // zeroed to quiet -Wmaybe-uninitialized
-      uint32_t roots[kBlock];
-      for (size_t j = 0; j < len; ++j) vs[j] = vertex_at(lo + j);
-      forest_.tree_roots(vs, len, roots);
-      for (size_t j = 0; j < len; ++j)
-        keyed[lo + j] = {roots[j], static_cast<uint32_t>(lo + j)};
+      for (size_t j = 0; j < len; ++j) vs[j] = endpoint(edges, lo + j);
+      forest_.tree_roots(vs, len, &root[lo]);
     }, 1);
-    return keyed;
-  }
-
-  // Pre-unite staged endpoints that share a forest component: one
-  // component id per endpoint and a group-by.
-  void seed_components(const std::vector<Vertex>& verts,
-                       util::UnionFind* stage) {
-    std::vector<std::pair<uint32_t, uint32_t>> keyed =
-        keyed_components(verts.size(), [&](size_t i) { return verts[i]; });
-    for (auto range : par::group_by_key(keyed))
-      for (size_t i = range.first + 1; i < range.second; ++i)
-        stage->unite(keyed[range.first].second, keyed[i].second);
+    Pieces pc{par::group_by(n, [&](size_t j) { return root[j]; }),
+              std::vector<uint32_t>(n)};
+    const par::Groups<uint32_t>& g = pc.groups;
+    par::parallel_for(0, g.keys.size(), [&](size_t p) {
+      for (uint32_t j = g.start[p]; j < g.start[p + 1]; ++j)
+        pc.of[g.at[j]] = static_cast<uint32_t>(p);
+    });
+    return pc;
   }
 
   // The replacement search for the tree edges in `cuts`, which have just
@@ -585,30 +567,22 @@ class GraphConnectivity {
     UFO_SPAN("conn.search");
     UFO_STAT("conn.search.rounds", 1);
     constexpr uint32_t kUnlabelled = 0xffffffffu;
-    auto endpoint = [&](size_t i) {
-      return (i & 1) ? cuts[i >> 1].v : cuts[i >> 1].u;
-    };
 
     // 1. Pieces: the distinct components of the 2k cut endpoints. A
     // union-find along the cut pairs groups them into the original
     // components, each of which exempts its largest piece (ties go to the
     // smaller piece index).
-    std::vector<std::pair<uint32_t, uint32_t>> keyed =
-        keyed_components(2 * cuts.size(), endpoint);
-    std::vector<std::pair<size_t, size_t>> groups = par::group_by_key(keyed);
-    const size_t np = groups.size();
-    std::vector<uint32_t> piece_of(keyed.size());
+    Pieces pc = endpoint_pieces(cuts);
+    const size_t np = pc.groups.keys.size();
     std::vector<Vertex> rep(np);
     std::vector<size_t> piece_size(np);
     par::parallel_for(0, np, [&](size_t p) {
-      rep[p] = endpoint(keyed[groups[p].first].second);
+      rep[p] = endpoint(cuts, pc.groups.at[pc.groups.start[p]]);
       piece_size[p] = forest_.component_size(rep[p]);
-      for (size_t j = groups[p].first; j < groups[p].second; ++j)
-        piece_of[keyed[j].second] = static_cast<uint32_t>(p);
     });
     util::UnionFind original(np);
     for (size_t i = 0; i < cuts.size(); ++i)
-      original.unite(piece_of[2 * i], piece_of[2 * i + 1]);
+      original.unite(pc.of[2 * i], pc.of[2 * i + 1]);
     // largest[r]: the exempt piece of the original component rooted at r.
     std::vector<uint32_t> largest(np, kUnlabelled), exempt(np);
     for (uint32_t p = 0; p < np; ++p) {

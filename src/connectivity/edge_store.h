@@ -77,18 +77,13 @@ class EdgeStore {
   // set untouched on failure), so the caller can fall back to sequential
   // per-edge inserts.
   bool try_reserve_batch(const EdgeList& edges) {
-    // One reservation per distinct endpoint: sort the 2k endpoints and
-    // reserve each run's length.
-    std::vector<Vertex> ends(2 * edges.size());
-    for (size_t i = 0; i < edges.size(); ++i) {
-      ends[2 * i] = edges[i].u;
-      ends[2 * i + 1] = edges[i].v;
-    }
-    par::sort(ends);
-    for (size_t i = 0, j = 0; i < ends.size(); i = j) {
-      while (j < ends.size() && ends[j] == ends[i]) ++j;
-      if (!adj_[ends[i]].try_reserve(j - i)) return false;
-    }
+    // One reservation per distinct endpoint, of its group's size.
+    par::Groups<Vertex> g = par::group_by(2 * edges.size(), [&](size_t j) {
+      return (j & 1) ? edges[j >> 1].v : edges[j >> 1].u;
+    });
+    for (size_t q = 0; q < g.keys.size(); ++q)
+      if (!adj_[g.keys[q]].try_reserve(g.start[q + 1] - g.start[q]))
+        return false;
     return true;
   }
 

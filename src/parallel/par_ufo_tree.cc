@@ -92,37 +92,6 @@ std::vector<uint32_t> UfoTree::unique_if(const std::vector<uint32_t>& v,
   return filter(v, [&](uint32_t c) { return keep(c) && claim(c, epoch); });
 }
 
-template <class KeyOf>
-UfoTree::Groups UfoTree::group_by(size_t n, KeyOf&& key_of) {
-  Groups g;
-  // g.at holds each item's key until the last pass lays the groups out.
-  g.at.resize(n);
-  parallel_for(0, n, [&](size_t i) { g.at[i] = key_of(i); }, kBlock);
-  g.keys = unique_if(g.at, [](uint32_t) { return true; });
-  size_t ng = g.keys.size();
-  parallel_for(
-      0, ng, [&](size_t j) { proposal_[g.keys[j]] = static_cast<uint32_t>(j); },
-      kBlock);
-  // Count each group's items, taking each item's rank in its group, then
-  // turn the ranks into positions.
-  g.start.assign(ng + 1, 0);
-  std::vector<uint32_t> pos(n);
-  parallel_for(
-      0, n,
-      [&](size_t i) {
-        pos[i] = std::atomic_ref<uint32_t>(g.start[proposal_[g.at[i]]])
-                     .fetch_add(1, std::memory_order_relaxed);
-      },
-      kBlock);
-  scan_exclusive(g.start);
-  parallel_for(
-      0, n, [&](size_t i) { pos[i] += g.start[proposal_[g.at[i]]]; }, kBlock);
-  parallel_for(
-      0, n, [&](size_t i) { g.at[pos[i]] = static_cast<uint32_t>(i); },
-      kBlock);
-  return g;
-}
-
 void UfoTree::queue(uint32_t c) {
   if (flags_[c] != 0) return;  // already queued, or doomed
   flags_[c] = kQueued;
@@ -165,7 +134,8 @@ void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
 // erasures against one high-degree cluster cost O(degree + k)).
 std::vector<uint32_t> UfoTree::apply_adjacency(
     const std::vector<std::pair<uint32_t, Adj>>& ops, bool insert) {
-  Groups g = group_by(ops.size(), [&](size_t i) { return ops[i].first; });
+  Groups<uint32_t> g =
+      group_by(ops.size(), [&](size_t i) { return ops[i].first; });
   parallel_for(0, g.keys.size(), [&](size_t j) {
     uint32_t c = g.keys[j];
     uint32_t begin = g.start[j], end = g.start[j + 1];
@@ -216,7 +186,7 @@ void UfoTree::teardown_pass(const std::vector<uint32_t>& starts) {
         toks, [&](const Token& t) { return hot_[t.child].parent != 0; });
     if (rest.empty()) break;
 
-    Groups byp = group_by(
+    Groups<uint32_t> byp = group_by(
         rest.size(), [&](size_t i) { return hot_[rest[i].child].parent; });
     size_t ngroups = byp.keys.size();
     UFO_STAT_HIST("par.teardown.level_width", rest.size());
@@ -616,11 +586,10 @@ void UfoTree::contract_round(int32_t lvl, std::vector<uint32_t> raw) {
   // Phase 3a: rake-attach into surviving superunary parents, grouped so one
   // task owns each target parent; add_child puts each rake into the
   // parent's rake index (this is the star's hot path) with a contribution
-  // the flush replaces once it has computed the rake. The group keys are
-  // survivors one level up, so their claims leave every role intact.
+  // the flush replaces once it has computed the rake.
   if (!engaged.empty()) {
-    Groups eg = group_by(engaged.size(),
-                         [&](size_t i) { return engaged[i].first; });
+    Groups<uint32_t> eg = group_by(
+        engaged.size(), [&](size_t i) { return engaged[i].first; });
     std::vector<uint8_t> target_rooted(eg.keys.size(), 0);
     parallel_for(0, eg.keys.size(), [&](size_t g) {
       uint32_t begin = eg.start[g], end = eg.start[g + 1];
@@ -735,8 +704,8 @@ void UfoTree::flush_dirty() {
       uint32_t p = hot_[c].parent;
       return p != 0 && !doomed(p) && rake_indexed(p, c);
     });
-    Groups rg = group_by(rakes.size(),
-                         [&](size_t i) { return hot_[rakes[i]].parent; });
+    Groups<uint32_t> rg = group_by(
+        rakes.size(), [&](size_t i) { return hot_[rakes[i]].parent; });
     parallel_for(0, rg.keys.size(), [&](size_t g) {
       for (uint32_t i = rg.start[g]; i < rg.start[g + 1]; ++i)
         rake_index_refresh(rg.keys[g], rakes[rg.at[i]]);

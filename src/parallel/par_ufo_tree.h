@@ -42,8 +42,11 @@
 //      rake indexes along the way. It is the only aggregate computation
 //      in the batch.
 //
-// Dedupes and groupings of cluster ids use one 32-bit epoch tag per cluster
-// (state_) and proposal_ as the group slot: O(n) passes, no sorts. Every
+// Groupings of items by cluster (adjacency edits, converging teardown
+// walks, rake-attaches, rake-index refreshes) come from par::group_by, a
+// stable counting semisort: groups in ascending cluster order, items in
+// index order. Dedupes of cluster ids use one 32-bit epoch tag per cluster
+// (state_): an O(n) pass in which the first claim keeps a cluster. Every
 // other list the pipeline builds (packs, edge-walk ops, detach requests,
 // re-rooted clusters, projections) comes from one par::emit pass, whose
 // body runs once per item and may keep its side effects.
@@ -57,12 +60,14 @@
 // and 2.2-4.1x per input (BENCH.md). Large batches keep the level-synchronous
 // sharing that made the old backend fast on path/pref-attach inputs.
 //
-// Determinism: query answers depend only on the update sequence; the
-// concrete cluster ids/shape may vary run to run with thread interleaving,
-// since phase-concurrent set iteration order feeds the contraction. All
-// structural invariants hold regardless (tests run check_valid /
-// check_aggregates at 1, 2, and max workers). GraphConnectivity's own
-// update sequence depends on thread timing (see connectivity.h).
+// Determinism: query answers depend only on the update sequence. Grouping
+// is stable, so its output depends on its input alone; the concrete
+// cluster ids and shape may still vary run to run at more than one worker,
+// because unique_if keeps whichever duplicate claims its tag first and
+// that order feeds the contraction. All structural invariants hold
+// regardless (tests run check_valid / check_aggregates at 1, 2, and max
+// workers). GraphConnectivity's own update sequence depends on thread
+// timing too: its replacement search stops early (see connectivity.h).
 #pragma once
 
 #include <cstddef>
@@ -125,14 +130,6 @@ class UfoTree : public core::UfoCore {
     bool deleted = false;
   };
 
-  // Items grouped by cluster: group g is cluster keys[g], and its item
-  // indices are at[start[g]] .. at[start[g + 1] - 1].
-  struct Groups {
-    std::vector<uint32_t> keys;
-    std::vector<uint32_t> start;
-    std::vector<uint32_t> at;
-  };
-
   void ensure_scratch();
   void set_role(uint32_t c, uint8_t role);
   uint8_t role_of(uint32_t c) const;
@@ -148,13 +145,6 @@ class UfoTree : public core::UfoCore {
   // up to which duplicate survives.
   template <class Keep>
   std::vector<uint32_t> unique_if(const std::vector<uint32_t>& v, Keep&& keep);
-  // Groups items 0..n-1 by cluster key_of(i) in O(n) work: key claims under
-  // a fresh epoch pick the distinct keys, proposal_ holds each key's group
-  // slot, and a counting pass lays the groups out in `at`, which held the
-  // items' keys until then. The order within a group may vary with thread
-  // timing.
-  template <class KeyOf>
-  Groups group_by(size_t n, KeyOf&& key_of);
   // Queue c for the flush (once per batch; doomed clusters are skipped).
   void queue(uint32_t c);
 
@@ -207,14 +197,12 @@ class UfoTree : public core::UfoCore {
   void flush_dirty();
 
   // (epoch << 3) | role: a role in the round whose epoch is round_, or a
-  // unique_if / group_by claim. A claim overwrites a role, so no cluster
-  // holding a role is claimed between Phase 2 and Phase 4 of a round.
+  // unique_if claim. A claim overwrites a role, so no cluster holding a role
+  // is claimed between Phase 2 and Phase 4 of a round.
   std::vector<uint32_t> state_;
   uint32_t epoch_ = 0;  // the last epoch handed out
   uint32_t round_ = 0;  // the current contraction round's epoch
-  // Phase-B proposed partner of an active cluster, and group_by's group
-  // slot of a key (no key is an active cluster between Phase B and 3b).
-  std::vector<uint32_t> proposal_;
+  std::vector<uint32_t> proposal_;  // Phase-B proposed partner
   std::vector<uint8_t> flags_;  // kDoomed | kQueued
   std::vector<uint32_t> doomed_list_;
   std::vector<std::vector<uint32_t>> frontier_;  // parentless, per level

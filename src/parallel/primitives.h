@@ -1,19 +1,20 @@
-// Parallel sequence primitives built on the fork-join scheduler: reduce,
-// exclusive scan, order-preserving emission (emit, and filter over it),
-// merge sort, duplicate removal, and semisort (group-by-key). These mirror
-// the ParlayLib primitives the paper's implementation relies on, with
-// matching asymptotics in the binary fork-join model (sorting-based
-// semisort: O(k log k) work, which at the batch sizes used here is
-// indistinguishable from the O(k) hashing variant). reduce and scan work
-// in blocks of kBlock items and run one block inline; emit splits any list
+// Parallel sequence primitives built on the fork-join scheduler: exclusive
+// scan, order-preserving emission (emit, and filter over it), and a stable
+// counting semisort (group_by), the library's one grouping and dedupe
+// primitive. These mirror the ParlayLib primitives the paper's
+// implementation relies on, with matching asymptotics in the binary
+// fork-join model: O(n) work each (group_by: O(n) per radix pass, a
+// constant number of passes for keys of bounded width). scan works in
+// blocks of kBlock items and runs one block inline; emit splits any list
 // longer than kEmitMin indices across workers, and runs inline with one
 // worker.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
-#include <iterator>
-#include <utility>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "parallel/scheduler.h"
@@ -25,29 +26,6 @@ inline constexpr size_t kBlock = 2048;
 
 // Shortest list emit splits, and its smallest block.
 inline constexpr size_t kEmitMin = 256;
-
-// Reduce v with an associative op and identity element.
-template <class T, class Op>
-T reduce(const std::vector<T>& v, T identity, Op&& op) {
-  size_t n = v.size();
-  if (n == 0) return identity;
-  size_t nblocks = (n + kBlock - 1) / kBlock;
-  if (nblocks == 1) {
-    T acc = identity;
-    for (const T& x : v) acc = op(acc, x);
-    return acc;
-  }
-  std::vector<T> partial(nblocks, identity);
-  parallel_for(0, nblocks, [&](size_t b) {
-    T acc = identity;
-    size_t end = std::min(n, (b + 1) * kBlock);
-    for (size_t i = b * kBlock; i < end; ++i) acc = op(acc, v[i]);
-    partial[b] = acc;
-  });
-  T acc = identity;
-  for (const T& x : partial) acc = op(acc, x);
-  return acc;
-}
 
 // Exclusive prefix sums in place; returns the grand total.
 template <class T>
@@ -145,104 +123,119 @@ std::vector<T> filter(const std::vector<T>& v, Pred&& pred) {
   });
 }
 
-// Stable parallel merge of two sorted runs into `out`. Splits the larger
-// run at its midpoint, binary-searches the split key in the other run, and
-// recurses on both halves in parallel — O(n) work, O(log^2 n) depth.
-// Stability: b-elements equal to the a-side split key land in the right
-// half (lower_bound), so equal a-elements always precede equal b-elements.
-template <class T, class Cmp>
-void par_merge_into(const T* a, size_t na, const T* b, size_t nb, T* out,
-                    const Cmp& cmp) {
-  constexpr size_t kSerialMerge = 8192;
-  if (na + nb <= kSerialMerge) {
-    std::merge(a, a + na, b, b + nb, out, cmp);
-    return;
-  }
-  if (na >= nb) {
-    size_t ma = na / 2;
-    size_t mb = static_cast<size_t>(
-        std::distance(b, std::lower_bound(b, b + nb, a[ma], cmp)));
-    par_do([&] { par_merge_into(a, ma, b, mb, out, cmp); },
-           [&] { par_merge_into(a + ma, na - ma, b + mb, nb - mb,
-                                out + ma + mb, cmp); });
-  } else {
-    // Split b instead; a-elements equal to the b-side split key must stay
-    // in the LEFT half to keep a-before-b order (upper_bound).
-    size_t mb = nb / 2;
-    size_t ma = static_cast<size_t>(
-        std::distance(a, std::upper_bound(a, a + na, b[mb], cmp)));
-    par_do([&] { par_merge_into(a, ma, b, mb, out, cmp); },
-           [&] { par_merge_into(a + ma, na - ma, b + mb, nb - mb,
-                                out + ma + mb, cmp); });
-  }
-}
+// Items grouped by key: group g holds the key keys[g] and the item indices
+// at[start[g]] .. at[start[g + 1] - 1]; start has one entry per group plus
+// a last entry n.
+template <class K>
+struct Groups {
+  std::vector<K> keys;
+  std::vector<uint32_t> start;
+  std::vector<uint32_t> at;
+};
 
-// Parallel merge sort with a fully parallel merge step (the classic
-// ping-pong scheme between the data and a scratch buffer): O(n log n) work
-// and polylog depth, against the previous serial std::inplace_merge whose
-// top-level merge alone was O(n) depth. Stable at the leaves
-// (std::stable_sort) and across merges (par_merge_into) so semisort groups
-// preserve input order within a group.
-template <class T, class Cmp>
-void sort(std::vector<T>& v, Cmp cmp) {
-  constexpr size_t kLeaf = 8192;
-  struct Rec {
-    // Sorts data[0, n); the result lands in data (to_scratch = false) or
-    // scratch (to_scratch = true). Halves are sorted into the *other*
-    // buffer, then merged into the target.
-    static void go(T* data, T* scratch, size_t n, const Cmp& cmp,
-                   bool to_scratch) {
-      if (n <= kLeaf) {
-        std::stable_sort(data, data + n, cmp);
-        if (to_scratch) std::copy(data, data + n, scratch);
-        return;
-      }
-      size_t half = n / 2;
-      par_do([&] { go(data, scratch, half, cmp, !to_scratch); },
-             [&] {
-               go(data + half, scratch + half, n - half, cmp, !to_scratch);
-             });
-      const T* lo = to_scratch ? data : scratch;
-      T* dst = to_scratch ? scratch : data;
-      par_merge_into(lo, half, lo + half, n - half, dst, cmp);
-    }
+// Largest input group_by sorts serially, and its widest radix digit.
+inline constexpr size_t kGroupLeaf = 256;
+inline constexpr int kDigitBits = 11;
+
+// The one grouping primitive, a stable counting semisort (Gu, Shun, Sun &
+// Blelloch, SPAA'15): groups items 0..n-1 by the unsigned 32- or 64-bit key
+// key_of(i), called once per item. Groups come in ascending key order and
+// each group's items in index order, so the output depends on the input
+// alone and is the same at every worker count. Up to kGroupLeaf items sort
+// their (key, index) pairs serially. Larger inputs take one pass that
+// stores the pairs and finds the largest key, then LSD radix passes over
+// its significant bits, in digits of at most kDigitBits bits and at most
+// bit_width(n) bits. Each pass counts digits per block, scans the counts
+// digit by digit and block by block, and scatters each block in order.
+// There are at most 8 blocks per worker, and several only when each holds
+// at least 4 items per counter, so the serial scan costs at most a quarter
+// of a pass, or 2n counters with one block. O(n) work per pass.
+template <class KeyOf>
+auto group_by(size_t n, KeyOf&& key_of) {
+  using K = std::decay_t<std::invoke_result_t<KeyOf&, size_t>>;
+  static_assert(std::is_unsigned_v<K> && (sizeof(K) == 4 || sizeof(K) == 8),
+                "group_by keys are 32- or 64-bit unsigned integers");
+  struct Item {
+    K key;
+    uint32_t i;
   };
-  if (v.size() <= kLeaf) {
-    std::stable_sort(v.begin(), v.end(), cmp);
-    return;
+  std::vector<Item> a(n);
+  if (n <= kGroupLeaf) {
+    for (size_t i = 0; i < n; ++i)
+      a[i] = {key_of(i), static_cast<uint32_t>(i)};
+    std::sort(a.begin(), a.end(), [](const Item& x, const Item& y) {
+      return x.key < y.key || (x.key == y.key && x.i < y.i);
+    });
+  } else {
+    size_t nfill = (n + kBlock - 1) / kBlock;
+    std::vector<K> top(nfill);
+    parallel_for(
+        0, nfill,
+        [&](size_t b) {
+          K m = 0;
+          for (size_t i = b * kBlock, end = std::min(n, i + kBlock); i < end;
+               ++i) {
+            a[i] = {key_of(i), static_cast<uint32_t>(i)};
+            m = std::max(m, a[i].key);
+          }
+          top[b] = m;
+        },
+        1);
+    int bits = std::bit_width(*std::max_element(top.begin(), top.end()));
+    int widest = std::min(kDigitBits, static_cast<int>(std::bit_width(n)));
+    int passes = (bits + widest - 1) / widest;
+    int digit = passes == 0 ? 0 : (bits + passes - 1) / passes;
+    size_t radix = size_t{1} << digit;
+    size_t nblocks = std::clamp<size_t>(
+        n / (4 * radix), 1, 8 * static_cast<size_t>(num_workers()));
+    size_t len = (n + nblocks - 1) / nblocks;
+    std::vector<Item> b(n);
+    std::vector<uint32_t> count(nblocks * radix);
+    for (int shift = 0; shift < bits; shift += digit) {
+      auto digit_of = [&](const Item& x) {
+        return static_cast<size_t>(x.key >> shift) & (radix - 1);
+      };
+      parallel_for(
+          0, nblocks,
+          [&](size_t blk) {
+            uint32_t* c = &count[blk * radix];
+            std::fill(c, c + radix, 0);
+            for (size_t i = blk * len, end = std::min(n, i + len); i < end;
+                 ++i)
+              ++c[digit_of(a[i])];
+          },
+          1);
+      uint32_t acc = 0;
+      for (size_t d = 0; d < radix; ++d)
+        for (size_t blk = 0; blk < nblocks; ++blk) {
+          uint32_t x = count[blk * radix + d];
+          count[blk * radix + d] = acc;
+          acc += x;
+        }
+      parallel_for(
+          0, nblocks,
+          [&](size_t blk) {
+            uint32_t* c = &count[blk * radix];
+            for (size_t i = blk * len, end = std::min(n, i + len); i < end;
+                 ++i)
+              b[c[digit_of(a[i])]++] = a[i];
+          },
+          1);
+      a.swap(b);
+    }
   }
-  std::vector<T> scratch(v.size());
-  Rec::go(v.data(), scratch.data(), v.size(), cmp, /*to_scratch=*/false);
-}
-
-template <class T>
-void sort(std::vector<T>& v) {
-  sort(v, std::less<T>{});
-}
-
-// Sort + unique. Deterministic duplicate removal used for MapToParents /
-// MapToChildren frontier sets in the batch-update algorithms.
-template <class T>
-void remove_duplicates(std::vector<T>& v) {
-  sort(v);
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-// Semisort: reorder key/value pairs so equal keys are adjacent, and return
-// the [begin, end) index ranges of each group.
-template <class K, class V>
-std::vector<std::pair<size_t, size_t>> group_by_key(
-    std::vector<std::pair<K, V>>& kv) {
-  sort(kv, [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<size_t, size_t>> groups;
-  size_t n = kv.size();
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && kv[j].first == kv[i].first) ++j;
-    groups.emplace_back(i, j);
-    i = j;
-  }
-  return groups;
+  Groups<K> g;
+  g.start = emit<uint32_t>(n + 1, [&](size_t i, auto& out) {
+    if (i == 0 || i == n || a[i].key != a[i - 1].key)
+      out(static_cast<uint32_t>(i));
+  });
+  g.keys.resize(g.start.size() - 1);
+  parallel_for(
+      0, g.keys.size(), [&](size_t j) { g.keys[j] = a[g.start[j]].key; },
+      kBlock);
+  g.at.resize(n);
+  parallel_for(0, n, [&](size_t i) { g.at[i] = a[i].i; }, kBlock);
+  return g;
 }
 
 }  // namespace ufo::par

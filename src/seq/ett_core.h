@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "graph/forest.h"
-#include "parallel/primitives.h"
 
 namespace ufo::seq {
 
@@ -59,26 +58,16 @@ class EulerTourTree {
     seq_.join(t, b);
   }
 
-  // Batch updates in the style of Tseng et al.: the batch is grouped by
-  // endpoint with a parallel semisort, then applied. The skip-list splits
-  // and joins of distinct updates touch disjoint positions; this
-  // implementation serializes their application (phase-concurrency is not
-  // needed for correctness on the single-core evaluation host; see
-  // DESIGN.md deviations).
+  // Batch updates apply their edges one at a time, in batch order. Tseng et
+  // al. apply the splits and joins of distinct updates in parallel (they
+  // touch disjoint positions); this baseline does not (DESIGN.md
+  // deviations).
   void batch_link(const std::vector<Edge>& edges) {
-    std::vector<std::pair<Vertex, Vertex>> grouped;
-    grouped.reserve(edges.size());
-    for (const Edge& e : edges) grouped.push_back({e.u, e.v});
-    par::group_by_key(grouped);
-    for (auto [u, v] : grouped) link(u, v);
+    for (const Edge& e : edges) link(e.u, e.v);
   }
 
   void batch_cut(const std::vector<Edge>& edges) {
-    std::vector<std::pair<Vertex, Vertex>> grouped;
-    grouped.reserve(edges.size());
-    for (const Edge& e : edges) grouped.push_back({e.u, e.v});
-    par::group_by_key(grouped);
-    for (auto [u, v] : grouped) cut(u, v);
+    for (const Edge& e : edges) cut(e.u, e.v);
   }
 
   void cut(Vertex u, Vertex v) {

@@ -1,8 +1,8 @@
 // Differential tests for the general-graph connectivity subsystem:
-// GraphConnectivity<seq::UfoTree> against a brute-force BFS oracle over
-// random edge-insert/erase streams on grid, random (social), and star
-// graphs, covering the single-edge path, both batch paths, and the
-// replacement-edge search after tree-edge cuts.
+// GraphConnectivity over both UFO backends (seq::UfoTree, par::UfoTree)
+// against a brute-force BFS oracle over random edge-insert/erase streams on
+// grid, random (social), and star graphs, covering the single-edge path,
+// both batch paths, and the replacement-edge search after tree-edge cuts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +16,15 @@
 #include "util/random.h"
 #include "util/union_find.h"
 
-namespace ufo::conn {
+namespace ufo::conn_test {
 namespace {
+
+using conn::component_labels;
+using conn::EdgeStore;
+// The layer under test; the typed suites below are named after it, so the
+// tests spell it Conn.
+template <class Backend>
+using Conn = conn::GraphConnectivity<Backend>;
 
 // Brute-force oracle: adjacency sets + BFS for every query.
 class BfsOracle {
@@ -73,10 +80,14 @@ class BfsOracle {
   size_t edges_ = 0;
 };
 
-using UfoConn = GraphConnectivity<seq::UfoTree>;
+template <class Backend>
+class GraphConnectivity : public ::testing::Test {};
+using Backends = ::testing::Types<seq::UfoTree, par::UfoTree>;
+TYPED_TEST_SUITE(GraphConnectivity, Backends);
 
-void expect_agrees(const UfoConn& g, const BfsOracle& o, util::SplitMix64& rng,
-                   size_t probes) {
+template <class Backend>
+void expect_agrees(const Conn<Backend>& g, const BfsOracle& o,
+                   util::SplitMix64& rng, size_t probes) {
   ASSERT_EQ(g.num_edges(), o.num_edges());
   ASSERT_EQ(g.num_components(), o.num_components());
   for (size_t p = 0; p < probes; ++p) {
@@ -88,8 +99,8 @@ void expect_agrees(const UfoConn& g, const BfsOracle& o, util::SplitMix64& rng,
   ASSERT_EQ(g.component_size(c), o.component_size(c)) << "comp of " << c;
 }
 
-TEST(GraphConnectivity, CycleEdgesBecomeNonTree) {
-  UfoConn g(4);
+TYPED_TEST(GraphConnectivity, CycleEdgesBecomeNonTree) {
+  Conn<TypeParam> g(4);
   EXPECT_TRUE(g.insert(0, 1));
   EXPECT_TRUE(g.insert(1, 2));
   EXPECT_TRUE(g.insert(2, 0));  // closes a cycle: must not touch the forest
@@ -101,9 +112,9 @@ TEST(GraphConnectivity, CycleEdgesBecomeNonTree) {
   EXPECT_TRUE(g.check_valid());
 }
 
-TEST(GraphConnectivity, ReplacementEdgeSearchAfterCut) {
+TYPED_TEST(GraphConnectivity, ReplacementEdgeSearchAfterCut) {
   // Cycle 0-1-2-3-0: cutting any tree edge must promote the non-tree edge.
-  UfoConn g(4);
+  Conn<TypeParam> g(4);
   g.insert(0, 1);
   g.insert(1, 2);
   g.insert(2, 3);
@@ -119,8 +130,8 @@ TEST(GraphConnectivity, ReplacementEdgeSearchAfterCut) {
   EXPECT_TRUE(g.check_valid());
 }
 
-TEST(GraphConnectivity, EraseReturnsFalseForAbsentEdges) {
-  UfoConn g(8);
+TYPED_TEST(GraphConnectivity, EraseReturnsFalseForAbsentEdges) {
+  Conn<TypeParam> g(8);
   g.insert(0, 1);
   EXPECT_FALSE(g.erase(0, 2));
   EXPECT_FALSE(g.erase(5, 5));
@@ -129,8 +140,8 @@ TEST(GraphConnectivity, EraseReturnsFalseForAbsentEdges) {
   EXPECT_EQ(g.num_components(), 8u);
 }
 
-TEST(GraphConnectivity, WeightsSurvivePromotion) {
-  UfoConn g(3, core::Aggregates::kAll);  // path_sum needs the full tier
+TYPED_TEST(GraphConnectivity, WeightsSurvivePromotion) {
+  Conn<TypeParam> g(3, core::Aggregates::kAll);  // path_sum needs the full tier
   g.insert(0, 1, 5);
   g.insert(1, 2, 7);
   g.insert(2, 0, 11);  // non-tree, weight 11
@@ -138,6 +149,15 @@ TEST(GraphConnectivity, WeightsSurvivePromotion) {
   EXPECT_TRUE(g.connected(0, 1));
   // Path 0-2-1 carries the promoted weight.
   EXPECT_EQ(g.forest().path_sum(0, 1), 11 + 7);
+}
+
+// A batch that names one edge twice keeps the first occurrence's weight
+// (batch_insert's documented rule), whichever orientation comes later.
+TYPED_TEST(GraphConnectivity, BatchInsertKeepsFirstDuplicateWeight) {
+  Conn<TypeParam> g(2, core::Aggregates::kAll);
+  ASSERT_EQ(g.batch_insert({{0, 1, 5}, {1, 0, 9}}), conn::BatchStatus::kOk);
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.forest().path_sum(0, 1), 5);
 }
 
 // Mixed single-edge insert/erase/query churn against the oracle. Three
@@ -156,10 +176,10 @@ std::vector<Family> families() {
   return fams;
 }
 
-TEST(GraphConnectivity, SingleOpChurnMatchesOracle) {
+TYPED_TEST(GraphConnectivity, SingleOpChurnMatchesOracle) {
   for (const Family& fam : families()) {
     SCOPED_TRACE(fam.name);
-    UfoConn g(fam.n);
+    Conn<TypeParam> g(fam.n);
     BfsOracle oracle(fam.n);
     util::SplitMix64 rng(1234);
     size_t ops = 4000;
@@ -181,10 +201,10 @@ TEST(GraphConnectivity, SingleOpChurnMatchesOracle) {
   }
 }
 
-TEST(GraphConnectivity, BatchPathsMatchOracle) {
+TYPED_TEST(GraphConnectivity, BatchPathsMatchOracle) {
   for (const Family& fam : families()) {
     SCOPED_TRACE(fam.name);
-    UfoConn g(fam.n);
+    Conn<TypeParam> g(fam.n);
     BfsOracle oracle(fam.n);
     util::SplitMix64 rng(77);
     EdgeList pool = fam.pool;
@@ -220,13 +240,13 @@ TEST(GraphConnectivity, BatchPathsMatchOracle) {
   }
 }
 
-TEST(GraphConnectivity, BatchCutShattersComponentCorrectly) {
+TYPED_TEST(GraphConnectivity, BatchCutShattersComponentCorrectly) {
   // A ladder: two rails plus rungs. Batch-cutting all rungs and one rail
   // edge exercises multi-piece shattering with replacements available only
   // through the rails.
   constexpr size_t kLen = 24;
   constexpr size_t n = 2 * kLen;
-  UfoConn g(n);
+  Conn<TypeParam> g(n);
   BfsOracle oracle(n);
   EdgeList all;
   for (Vertex i = 0; i + 1 < kLen; ++i) {
@@ -251,13 +271,13 @@ TEST(GraphConnectivity, BatchCutShattersComponentCorrectly) {
   EXPECT_TRUE(g.check_valid());
 }
 
-TEST(GraphConnectivity, LargeBatchInsertThenFullTeardown) {
+TYPED_TEST(GraphConnectivity, LargeBatchInsertThenFullTeardown) {
   // Every edge of a grid in one batch (many cycles), then erase everything
   // in batches; ends with n isolated vertices.
   constexpr size_t kSide = 16;
   constexpr size_t n = kSide * kSide;
   EdgeList grid = gen::grid_graph(kSide, kSide);
-  UfoConn g(n);
+  Conn<TypeParam> g(n);
   g.batch_insert(grid);
   EXPECT_EQ(g.num_edges(), grid.size());
   EXPECT_EQ(g.num_components(), 1u);
@@ -274,9 +294,9 @@ TEST(GraphConnectivity, LargeBatchInsertThenFullTeardown) {
   EXPECT_EQ(g.num_components(), n);
 }
 
-TEST(GraphConnectivity, ComponentSizeOnStar) {
+TYPED_TEST(GraphConnectivity, ComponentSizeOnStar) {
   constexpr size_t n = 64;
-  UfoConn g(n);
+  Conn<TypeParam> g(n);
   EdgeList star = gen::star(n);
   g.batch_insert(star);
   EXPECT_EQ(g.component_size(0), n);
@@ -286,9 +306,9 @@ TEST(GraphConnectivity, ComponentSizeOnStar) {
   EXPECT_EQ(g.component_size(0), n - 1);
 }
 
-TEST(GraphConnectivity, HasEdgeOutOfRangeIsFalse) {
+TYPED_TEST(GraphConnectivity, HasEdgeOutOfRangeIsFalse) {
   constexpr size_t n = 8;
-  UfoConn g(n);
+  Conn<TypeParam> g(n);
   g.batch_insert(gen::path(n));
   EXPECT_TRUE(g.has_edge(3, 4));
   EXPECT_FALSE(g.has_edge(n, 0));
@@ -300,9 +320,9 @@ TEST(GraphConnectivity, HasEdgeOutOfRangeIsFalse) {
 // Out-of-range vertices are isolated: no vertex id >= n is connected to
 // anything, itself included, and its component is empty. Leaf ids past n
 // name internal clusters, so the forest alone would answer for them.
-TEST(GraphConnectivity, OutOfRangeVertexIsIsolated) {
+TYPED_TEST(GraphConnectivity, OutOfRangeVertexIsIsolated) {
   constexpr size_t n = 8;
-  UfoConn g(n);
+  Conn<TypeParam> g(n);
   g.batch_insert(gen::path(n));
   ASSERT_TRUE(g.connected(0, n - 1));
   for (Vertex v = n; v < 14; ++v) {
@@ -318,7 +338,6 @@ TEST(GraphConnectivity, OutOfRangeVertexIsIsolated) {
 
 template <class Backend>
 class Connectivity : public ::testing::Test {};
-using Backends = ::testing::Types<seq::UfoTree, par::UfoTree>;
 TYPED_TEST_SUITE(Connectivity, Backends);
 
 // The layer's own footprint (everything but the spanning forest) per vertex
@@ -327,7 +346,7 @@ TYPED_TEST_SUITE(Connectivity, Backends);
 // non-tree set plus its share of the weight map.
 TYPED_TEST(Connectivity, LayerBytesPerVertex) {
   auto layer_bytes_per_vertex = [](size_t n, const EdgeList& edges) {
-    GraphConnectivity<TypeParam> g(n);
+    Conn<TypeParam> g(n);
     g.batch_insert(edges);
     EXPECT_EQ(g.num_edges(), edges.size());
     return (g.memory_bytes() - g.forest().memory_bytes()) / n;
@@ -345,7 +364,7 @@ TYPED_TEST(Connectivity, LayerBytesPerVertex) {
 // records or rake indexes.
 TYPED_TEST(Connectivity, ForestBytesPerVertex) {
   auto forest_bytes_per_vertex = [](size_t n, const EdgeList& edges) {
-    GraphConnectivity<TypeParam> g(n);
+    Conn<TypeParam> g(n);
     g.batch_insert(edges);
     EXPECT_EQ(g.num_edges(), edges.size());
     return g.forest().memory_bytes() / n;
@@ -365,11 +384,11 @@ TYPED_TEST(Connectivity, ForestBytesPerVertex) {
 // aggregate audits throughout.
 TYPED_TEST(Connectivity, AggregateTiersAgreeUnderChurn) {
   constexpr size_t n = 600;
-  GraphConnectivity<TypeParam> small(n);
-  GraphConnectivity<TypeParam> full(n, core::Aggregates::kAll);
+  Conn<TypeParam> small(n);
+  Conn<TypeParam> full(n, core::Aggregates::kAll);
   // check_aggregates recomputes in place; on a sound forest that rewrites
   // identical values.
-  auto audit = [](const GraphConnectivity<TypeParam>& g) {
+  auto audit = [](const Conn<TypeParam>& g) {
     EXPECT_TRUE(g.check_valid());
     EXPECT_TRUE(g.forest().check_valid());
     EXPECT_TRUE(const_cast<TypeParam&>(g.forest()).check_aggregates());
@@ -426,7 +445,7 @@ TYPED_TEST(Connectivity, AggregateTiersAgreeUnderChurn) {
 // forest, in every build type, instead of reading records it never keeps.
 TYPED_TEST(Connectivity, PathQueryOnSizeOnlyForestAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  GraphConnectivity<TypeParam> g(4);
+  Conn<TypeParam> g(4);
   g.insert(0, 1, 5);
   g.insert(1, 2, 7);
   EXPECT_EQ(g.component_size(0), 3u);
@@ -489,4 +508,4 @@ TEST(ComponentLabels, CanonicalSmallestId) {
 }
 
 }  // namespace
-}  // namespace ufo::conn
+}  // namespace ufo::conn_test

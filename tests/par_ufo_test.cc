@@ -449,11 +449,12 @@ TEST(ParUfo, EveryRecomputeIsInTheFlush) {
 // The 29-bit tag epoch wraps after about 2^29 epochs, a few per contraction
 // level of every batch. The wrap renumbers the live round's roles and
 // clears every other tag, so a mistake there corrupts roles and dedupes.
-// Each step is a single cut and re-link (about 140-210 epochs here), then a
-// cut and a re-link batch; it starts `offset` epochs short of the wrap, for
-// offsets 1..256, so the wrap lands at every point of a single update: in
-// teardown, detach and admit dedupes, mid-round with roles live, and in
-// the flush. Every step is audited against RefForest.
+// Each step is a single cut and re-link (about 75-100 epochs here), then a
+// cut and a re-link batch (at least 170 epochs in all); it starts `offset`
+// epochs short of the wrap, for offsets 1..128, so the wrap lands at every
+// point of a single update: in teardown, detach and admit dedupes,
+// mid-round with roles live, and in the flush. Every step is audited
+// against RefForest.
 TEST(ParUfo, EpochWrapKeepsRolesAndDedupes) {
   constexpr size_t n = size_t{1} << 10;
   EdgeList edges = gen::random_unbounded(n, 41);
@@ -468,7 +469,7 @@ TEST(ParUfo, EpochWrapKeepsRolesAndDedupes) {
   t.batch_link(edges);
   for (const Edge& e : edges) ref.link(e.u, e.v, e.w);
   const uint32_t max = UfoTreeTestPeer::max_epoch();
-  for (uint32_t offset = 1; offset <= 256; ++offset) {
+  for (uint32_t offset = 1; offset <= 128; ++offset) {
     UfoTreeTestPeer::set_epoch(t, max - offset);
     const Edge& e = edges[rng.next(edges.size())];
     t.cut(e.u, e.v);

@@ -6,9 +6,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
+#include <cstdint>
 #include <numeric>
-#include <set>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -39,20 +38,6 @@ TEST_P(SizeSweep, ScanMatchesSequential) {
   long long total = scan_exclusive(got);
   EXPECT_EQ(total, acc);
   EXPECT_EQ(got, expect);
-}
-
-TEST_P(SizeSweep, ReduceMatchesAccumulate) {
-  size_t n = GetParam();
-  util::SplitMix64 rng(n + 1);
-  std::vector<long long> v(n);
-  for (auto& x : v) x = static_cast<long long>(rng.next(1 << 20));
-  long long expect = std::accumulate(v.begin(), v.end(), 0LL);
-  EXPECT_EQ(reduce(v, 0LL, [](long long a, long long b) { return a + b; }),
-            expect);
-  long long mx = v.empty() ? -1 : *std::max_element(v.begin(), v.end());
-  EXPECT_EQ(reduce(v, -1LL,
-                   [](long long a, long long b) { return a > b ? a : b; }),
-            mx);
 }
 
 TEST_P(SizeSweep, FilterKeepsOrderAndElements) {
@@ -94,46 +79,60 @@ TEST_P(SizeSweep, EmitKeepsIndexOrderAndRunsBodiesOnce) {
   for (size_t i = 0; i < n; ++i) ASSERT_EQ(calls[i].load(), 1u) << "i=" << i;
 }
 
-TEST_P(SizeSweep, SortIsSortedPermutation) {
-  size_t n = GetParam();
-  util::SplitMix64 rng(n + 3);
-  std::vector<uint64_t> v(n);
-  for (auto& x : v) x = rng.next(97);  // many duplicates
-  std::vector<uint64_t> expect = v;
-  std::sort(expect.begin(), expect.end());
-  sort(v);
-  EXPECT_EQ(v, expect);
+// group_by against a std::stable_sort of (key, index): groups in ascending
+// key order, each group's items in index order, the same at every worker
+// count. Each item's key is drawn from `pool`.
+template <class K>
+void expect_group_by_matches_stable_sort(size_t n, const std::vector<K>& pool,
+                                         uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  std::vector<K> key(n);
+  for (auto& k : key) k = pool[rng.next(pool.size())];
+  std::vector<std::pair<K, uint32_t>> ref(n);
+  for (size_t i = 0; i < n; ++i) ref[i] = {key[i], static_cast<uint32_t>(i)};
+  std::stable_sort(ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  Groups<K> expect;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || ref[i].first != ref[i - 1].first) {
+      expect.keys.push_back(ref[i].first);
+      expect.start.push_back(static_cast<uint32_t>(i));
+    }
+    expect.at.push_back(ref[i].second);
+  }
+  expect.start.push_back(static_cast<uint32_t>(n));
+  std::vector<std::atomic<uint32_t>> calls(n);
+  Groups<K> got = group_by(n, [&](size_t i) {
+    calls[i].fetch_add(1, std::memory_order_relaxed);
+    return key[i];
+  });
+  EXPECT_EQ(got.keys, expect.keys);
+  EXPECT_EQ(got.start, expect.start);
+  EXPECT_EQ(got.at, expect.at);
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(calls[i].load(), 1u) << "i=" << i;
 }
 
-TEST_P(SizeSweep, GroupByKeyPartitionsExactly) {
+// The sweep's n256 and n257 straddle group_by's serial leaf.
+static_assert(kGroupLeaf == 256);
+
+TEST_P(SizeSweep, GroupByIsStableAndExact) {
   size_t n = GetParam();
-  util::SplitMix64 rng(n + 4);
-  std::vector<std::pair<uint32_t, uint32_t>> kv(n);
-  std::map<uint32_t, std::multiset<uint32_t>> expect;
-  for (size_t i = 0; i < n; ++i) {
-    kv[i] = {static_cast<uint32_t>(rng.next(n / 4 + 1)),
-             static_cast<uint32_t>(i)};
-    expect[kv[i].first].insert(kv[i].second);
+  util::SplitMix64 rng(n + 3);
+  // About n/4 distinct keys, the extremes among them.
+  std::vector<uint32_t> pool32{0, UINT32_MAX, UINT32_MAX - 1};
+  std::vector<uint64_t> pool64{0, UINT64_MAX, uint64_t{1} << 63,
+                               uint64_t{UINT32_MAX}};
+  for (size_t i = 0; i < n / 4; ++i) {
+    pool32.push_back(static_cast<uint32_t>(rng.next()));
+    pool64.push_back(rng.next());
   }
-  auto groups = group_by_key(kv);
-  // Groups tile [0, n), keys within a group are uniform and distinct
-  // across groups, and each group's value multiset matches.
-  size_t covered = 0;
-  std::set<uint32_t> seen_keys;
-  for (auto [b, e] : groups) {
-    ASSERT_LT(b, e);
-    covered += e - b;
-    uint32_t key = kv[b].first;
-    ASSERT_TRUE(seen_keys.insert(key).second) << "key split across groups";
-    std::multiset<uint32_t> vals;
-    for (size_t i = b; i < e; ++i) {
-      ASSERT_EQ(kv[i].first, key);
-      vals.insert(kv[i].second);
-    }
-    ASSERT_EQ(vals, expect[key]);
-  }
-  EXPECT_EQ(covered, n);
-  EXPECT_EQ(seen_keys.size(), expect.size());
+  expect_group_by_matches_stable_sort(n, pool32, n + 4);
+  expect_group_by_matches_stable_sort(n, pool64, n + 5);
+  // Small ids, the cluster ids' regime: few significant bits.
+  std::vector<uint32_t> small(n / 4 + 1);
+  std::iota(small.begin(), small.end(), 0u);
+  expect_group_by_matches_stable_sort(n, small, n + 6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,

@@ -137,18 +137,6 @@ TEST(Scheduler, WorkerIdInRangeUnderNestedParDo) {
   EXPECT_EQ(leaves.load(), 1 << 12);
 }
 
-TEST(Primitives, Reduce) {
-  std::vector<int64_t> v(10000);
-  std::iota(v.begin(), v.end(), 1);
-  int64_t total = reduce(v, int64_t{0}, [](int64_t a, int64_t b) { return a + b; });
-  EXPECT_EQ(total, 10000LL * 10001 / 2);
-}
-
-TEST(Primitives, ReduceEmpty) {
-  std::vector<int64_t> v;
-  EXPECT_EQ(reduce(v, int64_t{7}, [](int64_t a, int64_t b) { return a + b; }), 7);
-}
-
 TEST(Primitives, ScanExclusive) {
   std::vector<int64_t> v(9999, 1);
   int64_t total = scan_exclusive(v);
@@ -171,32 +159,20 @@ TEST(Primitives, Filter) {
   for (size_t i = 0; i < evens.size(); ++i) EXPECT_EQ(evens[i], (int)(2 * i));
 }
 
-TEST(Primitives, SortRandom) {
-  util::SplitMix64 rng(42);
-  std::vector<uint64_t> v(50000);
-  for (auto& x : v) x = rng.next();
-  auto expected = v;
-  std::sort(expected.begin(), expected.end());
-  sort(v);
-  EXPECT_EQ(v, expected);
-}
-
-TEST(Primitives, RemoveDuplicates) {
+TEST(Primitives, GroupByKeysAreTheDistinctKeys) {
   std::vector<uint64_t> v{5, 3, 5, 5, 1, 3, 9};
-  remove_duplicates(v);
-  EXPECT_EQ(v, (std::vector<uint64_t>{1, 3, 5, 9}));
+  auto g = group_by(v.size(), [&](size_t i) { return v[i]; });
+  EXPECT_EQ(g.keys, (std::vector<uint64_t>{1, 3, 5, 9}));
 }
 
-TEST(Primitives, GroupByKey) {
-  std::vector<std::pair<uint32_t, uint32_t>> kv{
-      {2, 0}, {1, 1}, {2, 2}, {3, 3}, {1, 4}, {2, 5}};
-  auto groups = group_by_key(kv);
-  ASSERT_EQ(groups.size(), 3u);
-  // keys sorted: 1 (2 entries), 2 (3 entries), 3 (1 entry)
-  EXPECT_EQ(groups[0].second - groups[0].first, 2u);
-  EXPECT_EQ(groups[1].second - groups[1].first, 3u);
-  EXPECT_EQ(groups[2].second - groups[2].first, 1u);
-  EXPECT_EQ(kv[groups[2].first].first, 3u);
+TEST(Primitives, GroupBy) {
+  std::vector<uint32_t> key{2, 1, 2, 3, 1, 2};
+  auto g = group_by(key.size(), [&](size_t i) { return key[i]; });
+  // Keys ascending: 1 (items 1, 4), 2 (items 0, 2, 5), 3 (item 3), each
+  // group's items in index order.
+  EXPECT_EQ(g.keys, (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(g.start, (std::vector<uint32_t>{0, 2, 5, 6}));
+  EXPECT_EQ(g.at, (std::vector<uint32_t>{1, 4, 0, 2, 5, 3}));
 }
 
 TEST(HashTable, InsertContainsErase) {
