@@ -510,11 +510,6 @@ class GraphConnectivity {
     return weight_.get(edge_key(u, v), Weight{1});
   }
 
-  // Endpoint j of an edge list: edges[j / 2].u for even j, .v for odd j.
-  static Vertex endpoint(const EdgeList& edges, size_t j) {
-    return (j & 1) ? edges[j >> 1].v : edges[j >> 1].u;
-  }
-
   // The first occurrence of each distinct edge of `edges` that passes keep,
   // with u <= v, in ascending edge-key order.
   template <class Keep>

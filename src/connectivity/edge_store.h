@@ -78,9 +78,8 @@ class EdgeStore {
   // per-edge inserts.
   bool try_reserve_batch(const EdgeList& edges) {
     // One reservation per distinct endpoint, of its group's size.
-    par::Groups<Vertex> g = par::group_by(2 * edges.size(), [&](size_t j) {
-      return (j & 1) ? edges[j >> 1].v : edges[j >> 1].u;
-    });
+    par::Groups<Vertex> g = par::group_by(
+        2 * edges.size(), [&](size_t j) { return endpoint(edges, j); });
     for (size_t q = 0; q < g.keys.size(); ++q)
       if (!adj_[g.keys[q]].try_reserve(g.start[q + 1] - g.start[q]))
         return false;

@@ -22,6 +22,11 @@ struct Edge {
 
 using EdgeList = std::vector<Edge>;
 
+// Endpoint j of an edge list: edges[j / 2].u for even j, .v for odd j.
+inline Vertex endpoint(const EdgeList& edges, size_t j) {
+  return (j & 1) ? edges[j >> 1].v : edges[j >> 1].u;
+}
+
 // A batch-update entry: insert (is_delete = false) or delete an edge.
 struct Update {
   Vertex u = 0;

@@ -133,8 +133,9 @@ struct Groups {
   std::vector<uint32_t> at;
 };
 
-// Largest input group_by sorts serially, and its widest radix digit.
-inline constexpr size_t kGroupLeaf = 256;
+// Largest input group_by sorts serially, and its widest radix digit. The
+// leaf ends where the radix passes start to beat it on 32-bit cluster ids.
+inline constexpr size_t kGroupLeaf = 192;
 inline constexpr int kDigitBits = 11;
 
 // The one grouping primitive, a stable counting semisort (Gu, Shun, Sun &

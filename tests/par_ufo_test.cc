@@ -447,14 +447,14 @@ TEST(ParUfo, EveryRecomputeIsInTheFlush) {
 }
 
 // The 29-bit tag epoch wraps after about 2^29 epochs, a few per contraction
-// level of every batch. The wrap renumbers the live round's roles and
-// clears every other tag, so a mistake there corrupts roles and dedupes.
-// Each step is a single cut and re-link (about 75-100 epochs here), then a
-// cut and a re-link batch (at least 170 epochs in all); it starts `offset`
-// epochs short of the wrap, for offsets 1..128, so the wrap lands at every
-// point of a single update: in teardown, detach and admit dedupes,
-// mid-round with roles live, and in the flush. Every step is audited
-// against RefForest.
+// level of every batch. The wrap renumbers the live round's roles and clears
+// every other tag, so a mistake there corrupts roles and dedupes. Each step
+// is a single cut and re-link, then a cut and a re-link batch, repeated on
+// the same edges until the epoch wraps (at most four pairs); it starts
+// `offset` epochs short of the wrap, for offsets 1..256, so the wrap lands
+// at every point of a single update and of a batch pair: in teardown, detach
+// and admit dedupes, mid-round with roles live, and in the flush. Every step
+// is audited against RefForest.
 TEST(ParUfo, EpochWrapKeepsRolesAndDedupes) {
   constexpr size_t n = size_t{1} << 10;
   EdgeList edges = gen::random_unbounded(n, 41);
@@ -469,7 +469,7 @@ TEST(ParUfo, EpochWrapKeepsRolesAndDedupes) {
   t.batch_link(edges);
   for (const Edge& e : edges) ref.link(e.u, e.v, e.w);
   const uint32_t max = UfoTreeTestPeer::max_epoch();
-  for (uint32_t offset = 1; offset <= 128; ++offset) {
+  for (uint32_t offset = 1; offset <= 256; ++offset) {
     UfoTreeTestPeer::set_epoch(t, max - offset);
     const Edge& e = edges[rng.next(edges.size())];
     t.cut(e.u, e.v);
@@ -484,10 +484,13 @@ TEST(ParUfo, EpochWrapKeepsRolesAndDedupes) {
                              return key(a) == key(b);
                            }),
                part.end());
-    t.batch_cut(part);
-    t.batch_link(part);
-    // Epochs never move backwards, so the next step may only start below
-    // the wrap if this one crossed it.
+    // Epochs never move backwards, so the epoch is below its start only
+    // once the step has crossed the wrap.
+    int pairs = 0;
+    do {
+      t.batch_cut(part);
+      t.batch_link(part);
+    } while (++pairs < 4 && UfoTreeTestPeer::epoch(t) >= max - offset);
     ASSERT_LT(UfoTreeTestPeer::epoch(t), max - offset)
         << "offset " << offset << ": the step did not wrap";
     ASSERT_TRUE(t.check_valid()) << "offset " << offset;

@@ -113,8 +113,8 @@ void expect_group_by_matches_stable_sort(size_t n, const std::vector<K>& pool,
   for (size_t i = 0; i < n; ++i) ASSERT_EQ(calls[i].load(), 1u) << "i=" << i;
 }
 
-// The sweep's n256 and n257 straddle group_by's serial leaf.
-static_assert(kGroupLeaf == 256);
+// The sweep's n192 and n193 straddle group_by's serial leaf.
+static_assert(kGroupLeaf == 192);
 
 TEST_P(SizeSweep, GroupByIsStableAndExact) {
   size_t n = GetParam();
@@ -136,8 +136,9 @@ TEST_P(SizeSweep, GroupByIsStableAndExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
-                         ::testing::Values(0, 1, 2, 3, 17, 100, 256, 257,
-                                           2047, 2048, 2049, 10000, 100000),
+                         ::testing::Values(0, 1, 2, 3, 17, 100, 192, 193,
+                                           256, 257, 2047, 2048, 2049, 10000,
+                                           100000),
                          [](const auto& info) {
                            return "n" + std::to_string(info.param);
                          });
