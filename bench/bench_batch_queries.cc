@@ -1,13 +1,15 @@
 // Batch query throughput: read-only queries fanned across the fork-join
 // pool vs issued one at a time. Reproduces the paper's Section 6.1
 // observation that contraction-tree queries (pure reads) parallelize
-// trivially, unlike self-adjusting structures that mutate on read. Batched
-// path queries run one per task, so on a single core their batched and
-// scalar rates coincide. Batched connectivity on a UFO tree also climbs
-// each block's endpoints in lockstep (UfoCore::tree_roots), so on deep
-// trees it beats the scalar loop even on one core: the connectivity table
-// covers a low-diameter Zipf tree, a star, a BFS spanning tree of a grid
-// and a path. Exits 1 if any batched answer differs from the scalar one.
+// trivially, unlike self-adjusting structures that mutate on read. On a
+// UFO tree each batched task also climbs a block of pairs in lockstep:
+// path queries to their LCA clusters (UfoCore::path_queries), connectivity
+// to the roots (UfoCore::tree_roots), so on deep trees the batched rate
+// beats the scalar loop even on one core. Both tables cover a low-diameter
+// Zipf tree, a BFS spanning tree of a grid and a path, with each tree's
+// depth; the connectivity table adds a star. The Topology row answers one
+// path query per index. Exits 1 if any batched answer differs from the
+// scalar one.
 #include <array>
 #include <cmath>
 #include <utility>
@@ -55,8 +57,8 @@ bool run(const char* name, Tree& t, size_t n, size_t nq, uint64_t seed) {
   double batched = t2.elapsed();
 
   const bool ok = got == want;
-  std::printf("%-26s %12.0f %12.0f %12s\n", name, nq / scalar, nq / batched,
-              ok ? "ok" : "MISMATCH");
+  std::printf("%-26s %8zu %12.0f %12.0f %12s\n", name, t.height(0),
+              nq / scalar, nq / batched, ok ? "ok" : "MISMATCH");
   return ok;
 }
 
@@ -90,41 +92,37 @@ int main(int argc, char** argv) {
   bool ok = true;
   std::printf("[batch-queries] path_sum throughput, n=%zu, %zu queries, "
               "%d workers\n", n, nq, par::num_workers());
-  std::printf("%-26s %12s %12s %12s\n", "structure", "scalar q/s",
-              "batched q/s", "check");
+  std::printf("%-26s %8s %12s %12s %12s\n", "structure", "depth(0)",
+              "scalar q/s", "batched q/s", "check");
 
-  EdgeList edges = gen::zipf_tree(n, 1.0, 404);
   util::SplitMix64 rng(1);
-  for (Edge& e : edges) e.w = 1 + static_cast<Weight>(rng.next(50));
+  auto weigh = [&](EdgeList edges) {
+    for (Edge& e : edges) e.w = 1 + static_cast<Weight>(rng.next(50));
+    return edges;
+  };
+  EdgeList edges = weigh(gen::zipf_tree(n, 1.0, 404));
 
   seq::UfoTree ufo(n);
   for (const Edge& e : edges) ufo.link(e.u, e.v, e.w);
-  ok &= run("UFO Tree (seq)", ufo, n, nq, 9);
+  ok &= run("UFO Tree (seq) zipf", ufo, n, nq, 9);
 
   // The parallel backend shares the query suite through core::UfoCore, so
   // the same read-only fan-out applies — this is the "par" column: batched
   // throughput here scales with the pool width on multicore hosts.
   par::UfoTree pufo(n);
   pufo.batch_link(edges);
-  ok &= run("UFO Tree (par)", pufo, n, nq, 9);
+  ok &= run("UFO Tree (par) zipf", pufo, n, nq, 9);
 
   // Query the ternarized structure's inner tree directly: original vertex
   // ids occupy slots 0..n-1 and chain edges weigh 0, so path sums between
   // originals are unchanged.
   seq::Ternarizer<seq::TopologyTree> topo(n);
   for (const Edge& e : edges) topo.link(e.u, e.v, e.w);
-  ok &= run("Topology Tree (tern.)", topo.inner(), n, nq, 9);
+  ok &= run("Topology Tree (tern.) zipf", topo.inner(), n, nq, 9);
 
-  std::printf("\n[batch-queries] connectivity throughput, n=%zu, %zu "
-              "queries\n", n, nq);
-  std::printf("%-26s %8s %12s %12s %12s\n", "structure", "depth(0)",
-              "scalar q/s", "batched q/s", "check");
-  ok &= run_connectivity("UFO Tree (seq) zipf", ufo, n, nq, 17);
-  ok &= run_connectivity("UFO Tree (par) zipf", pufo, n, nq, 17);
-
-  // A star (depth 1, where the scalar loop already overlaps its misses)
-  // and two high-diameter inputs, where the lockstep climb's gain grows
-  // with height.
+  // Two high-diameter inputs, where the lockstep climbs' gain grows with
+  // height, and (connectivity only) a star: depth 1, where the scalar loop
+  // already overlaps its misses.
   const size_t side = static_cast<size_t>(std::sqrt(static_cast<double>(n)));
   const size_t grid_n = side * side;
   struct Input {
@@ -132,11 +130,28 @@ int main(int argc, char** argv) {
     size_t n;
     EdgeList edges;
   };
-  for (const Input& in :
-       {Input{"UFO Tree (par) star", n, gen::star(n)},
-        Input{"UFO Tree (par) grid-bfs", grid_n,
-              gen::bfs_forest(grid_n, gen::grid_graph(side, side), 23)},
-        Input{"UFO Tree (par) path", n, gen::path(n)}}) {
+  const Input deep[] = {
+      {"UFO Tree (par) grid-bfs", grid_n,
+       weigh(gen::bfs_forest(grid_n, gen::grid_graph(side, side), 23))},
+      {"UFO Tree (par) path", n, weigh(gen::path(n))}};
+  for (const Input& in : deep) {
+    par::UfoTree t(in.n);
+    t.batch_link(in.edges);
+    ok &= run(in.name, t, in.n, nq, 9);
+  }
+
+  std::printf("\n[batch-queries] connectivity throughput, n=%zu, %zu "
+              "queries\n", n, nq);
+  std::printf("%-26s %8s %12s %12s %12s\n", "structure", "depth(0)",
+              "scalar q/s", "batched q/s", "check");
+  ok &= run_connectivity("UFO Tree (seq) zipf", ufo, n, nq, 17);
+  ok &= run_connectivity("UFO Tree (par) zipf", pufo, n, nq, 17);
+  {
+    par::UfoTree t(n);
+    t.batch_link(gen::star(n));
+    ok &= run_connectivity("UFO Tree (par) star", t, n, nq, 29);
+  }
+  for (const Input& in : deep) {
     par::UfoTree t(in.n);
     t.batch_link(in.edges);
     ok &= run_connectivity(in.name, t, in.n, nq, 29);

@@ -205,11 +205,10 @@ class GraphConnectivity {
   BatchStatus batch_insert(const EdgeList& edges) {
     if (edges.empty()) return BatchStatus::kOk;
     // Phase 1 (parallel): the first occurrence of each new edge, in key
-    // order (DESIGN.md, "Determinism"); self-loops and present edges drop
-    // out.
-    EdgeList cand = first_occurrences(edges, [&](const Edge& e) {
-      return e.u != e.v && e.v < n_ && !has_edge(e.u, e.v);
-    });
+    // order (DESIGN.md, "Determinism"); self-loops, out-of-range and
+    // present edges drop out.
+    EdgeList cand = first_occurrences(
+        edges, [&](const Edge& e) { return !has_edge(e.u, e.v); });
     if (cand.empty()) return BatchStatus::kOk;
 
     // Phase 2: stage through a union-find over the forest components of the
@@ -266,9 +265,7 @@ class GraphConnectivity {
     std::vector<uint8_t> kind(cand.size());
     par::parallel_for(0, cand.size(), [&](size_t i) {
       const Edge& e = cand[i];
-      if (e.u == e.v || e.u >= n_ || e.v >= n_)
-        kind[i] = 0;
-      else if (nontree_.contains(e.u, e.v))
+      if (nontree_.contains(e.u, e.v))
         kind[i] = 1;
       else if (weight_.contains(edge_key(e.u, e.v)))
         kind[i] = 2;
@@ -510,14 +507,21 @@ class GraphConnectivity {
     return weight_.get(edge_key(u, v), Weight{1});
   }
 
-  // The first occurrence of each distinct edge of `edges` that passes keep,
-  // with u <= v, in ascending edge-key order.
+  // The first occurrence of each distinct edge of `edges` that is no
+  // self-loop, has both endpoints below n and passes keep, with u <= v, in
+  // ascending edge-key order. The grouping key min * n + max sorts like
+  // edge_key in 2 x bit_width(n) bits rather than 32 + bit_width(n), so
+  // group_by makes fewer radix passes. Every other edge takes key n * n,
+  // past every valid key, and its group is dropped.
   template <class Keep>
-  static EdgeList first_occurrences(const EdgeList& edges, Keep&& keep) {
+  EdgeList first_occurrences(const EdgeList& edges, Keep&& keep) const {
+    const uint64_t invalid = uint64_t{n_} * n_;
     par::Groups<uint64_t> g = par::group_by(edges.size(), [&](size_t i) {
-      return edge_key(edges[i].u, edges[i].v);
+      const auto [lo, hi] = std::minmax(edges[i].u, edges[i].v);
+      return lo == hi || hi >= n_ ? invalid : uint64_t{lo} * n_ + hi;
     });
     return par::emit<Edge>(g.keys.size(), [&](size_t j, auto& out) {
+      if (g.keys[j] == invalid) return;
       Edge e = edges[g.at[g.start[j]]];
       if (e.u > e.v) std::swap(e.u, e.v);
       if (keep(e)) out(e);

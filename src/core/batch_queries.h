@@ -4,10 +4,11 @@
 // "any number of queries can be run in parallel with no synchronization."
 // These helpers exploit exactly that: they fan a batch of independent
 // queries across the fork-join pool with one parallel_for and no locking.
-// batch_connected on a UfoCore-based tree goes one step further: each task
-// takes a block of pairs and climbs all their endpoints together through
-// UfoCore::tree_roots, so the cache misses of one task overlap too
-// (DESIGN.md, "Batched root climbs"). Path queries stay one per task.
+// On a UfoCore-based tree, batch_connected and the path family go one step
+// further: each task takes a block of pairs and climbs them together
+// (UfoCore::tree_roots to the roots, UfoCore::path_queries to the LCAs), so
+// the cache misses of one task overlap too (DESIGN.md, "Batched root
+// climbs"). Other trees answer one query per index.
 //
 // They require a backend whose queries are const (UFO trees, topology
 // trees, the oracle). Self-adjusting structures (link-cut trees, splay top
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/capabilities.h"
+#include "core/ufo_core.h"
 #include "graph/forest.h"
 #include "parallel/scheduler.h"
 
@@ -39,9 +41,7 @@ concept ConstQueryable =
       { t.subtree_sum(u, v) } -> std::convertible_to<Weight>;
     };
 
-using VertexPair = std::pair<Vertex, Vertex>;
-
-// Pairs per parallel_for task in batch_connected's batched root climb.
+// Pairs per parallel_for task in the batched root and LCA climbs.
 inline constexpr size_t kClimbBlock = 256;
 
 // answers[i] = t.connected(q[i].first, q[i].second)
@@ -75,26 +75,44 @@ std::vector<uint8_t> batch_connected(const Tree& t,
   return out;
 }
 
+// answers[i] = the `kind` path query on q[i]: UfoCore::path_queries on one
+// block of kClimbBlock pairs per task where the tree has it, else
+// scalar(u, v) per index.
+template <class Tree, class Scalar>
+std::vector<int64_t> batch_path(const Tree& t,
+                                const std::vector<VertexPair>& q,
+                                PathQuery kind, Scalar&& scalar) {
+  std::vector<int64_t> out(q.size());
+  if constexpr (requires { t.path_queries(q.data(), q.size(), kind,
+                                          out.data()); }) {
+    par::parallel_for(0, (q.size() + kClimbBlock - 1) / kClimbBlock,
+                      [&](size_t b) {
+      const size_t lo = b * kClimbBlock;
+      t.path_queries(q.data() + lo, std::min(kClimbBlock, q.size() - lo),
+                     kind, out.data() + lo);
+    }, 1);
+  } else {
+    par::parallel_for(0, q.size(), [&](size_t i) {
+      out[i] = scalar(q[i].first, q[i].second);
+    });
+  }
+  return out;
+}
+
 // answers[i] = t.path_sum(q[i]) — every pair must be connected.
 template <ConstQueryable Tree>
 std::vector<Weight> batch_path_sum(const Tree& t,
                                    const std::vector<VertexPair>& q) {
-  std::vector<Weight> out(q.size());
-  par::parallel_for(0, q.size(), [&](size_t i) {
-    out[i] = t.path_sum(q[i].first, q[i].second);
-  });
-  return out;
+  return batch_path(t, q, PathQuery::kSum,
+                    [&](Vertex u, Vertex v) { return t.path_sum(u, v); });
 }
 
 // answers[i] = t.path_max(q[i]) — every pair must be connected.
 template <ConstQueryable Tree>
 std::vector<Weight> batch_path_max(const Tree& t,
                                    const std::vector<VertexPair>& q) {
-  std::vector<Weight> out(q.size());
-  par::parallel_for(0, q.size(), [&](size_t i) {
-    out[i] = t.path_max(q[i].first, q[i].second);
-  });
-  return out;
+  return batch_path(t, q, PathQuery::kMax,
+                    [&](Vertex u, Vertex v) { return t.path_max(u, v); });
 }
 
 // answers[i] = t.path_length(q[i]) (hop count) — every pair must be
@@ -104,11 +122,8 @@ std::vector<int64_t> batch_path_length(const Tree& t,
                                        const std::vector<VertexPair>& q)
   requires requires(const Tree ct, Vertex x) { ct.path_length(x, x); }
 {
-  std::vector<int64_t> out(q.size());
-  par::parallel_for(0, q.size(), [&](size_t i) {
-    out[i] = t.path_length(q[i].first, q[i].second);
-  });
-  return out;
+  return batch_path(t, q, PathQuery::kLength,
+                    [&](Vertex u, Vertex v) { return t.path_length(u, v); });
 }
 
 // answers[i] = t.subtree_sum(v, p) for q[i] = (v, p) — (v, p) must be a

@@ -321,8 +321,7 @@ void UfoCore::adj_remove(uint32_t c, uint32_t d) {
   }
 }
 
-void UfoCore::adj_remove_batch(uint32_t c,
-                               const std::vector<uint32_t>& targets) {
+void UfoCore::adj_remove_batch(uint32_t c, Span<const uint32_t> targets) {
   if (targets.empty()) return;
   Hot& h = hot_[c];
   assert(h.nbrs.size >= targets.size());
@@ -877,17 +876,32 @@ bool UfoCore::connected(Vertex u, Vertex v) const {
   return tree_root(u) == tree_root(v);
 }
 
-uint32_t UfoCore::lca_cluster(uint32_t a, uint32_t b) const {
-  while (hot_[a].level < hot_[b].level)
-    if ((a = hot_[a].parent) == 0) return 0;
-  while (hot_[b].level < hot_[a].level)
-    if ((b = hot_[b].parent) == 0) return 0;
-  while (a != b) {
-    a = hot_[a].parent;
-    b = hot_[b].parent;
-    if (a == 0 || b == 0) return 0;
+void UfoCore::lca_clusters(const VertexPair* q, size_t n,
+                           uint32_t* out) const {
+  assert(n <= kRootGroup && hot_[0].parent == 0);
+  const Hot* hot = hot_.data();
+  // Chain a[i] climbs from q[i]'s first leaf, out[i] from its second, in
+  // place. Leaves are level 0 and every parent is one level up, so the two
+  // chains of a pair stay level-aligned and first meet at their LCA. A
+  // chain that climbs past its root reads slot 0, whose parent is 0, so
+  // the chains of two trees meet there. A met pair stays put (its loads
+  // hit the cached LCA record); the group ends after a sweep with no open
+  // pair.
+  uint32_t a[kRootGroup];
+  for (size_t i = 0; i < n; ++i) {
+    a[i] = leaf_id(q[i].first);
+    out[i] = leaf_id(q[i].second);
   }
-  return a;
+  for (bool open = true; open;) {
+    open = false;
+    for (size_t i = 0; i < n; ++i) {
+      const bool climb = a[i] != out[i];
+      const uint32_t pa = hot[a[i]].parent, pb = hot[out[i]].parent;
+      open |= climb;
+      a[i] = climb ? pa : a[i];
+      out[i] = climb ? pb : out[i];
+    }
+  }
 }
 
 template <class Visit>
@@ -976,11 +990,8 @@ UfoCore::PathAgg UfoCore::side_to_center(uint32_t lca, uint32_t child,
   return {rp.sum[j] + e.w, std::max(rp.max[j], e.w), rp.len[j] + 1};
 }
 
-UfoCore::PathAgg UfoCore::path_agg(Vertex u, Vertex v,
+UfoCore::PathAgg UfoCore::path_agg(Vertex u, Vertex v, uint32_t lca,
                                    const char* query) const {
-  require_all(query);
-  if (u == v) return {0, std::numeric_limits<Weight>::min(), 0};
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
   if (lca == 0) bad_query(query, u, v, "vertices in different trees");
   auto no_visit = [](uint32_t, uint32_t, const RepPath&) {};
   uint32_t cu = 0, cv = 0;
@@ -1003,16 +1014,37 @@ UfoCore::PathAgg UfoCore::path_agg(Vertex u, Vertex v,
           ru.len[su] + 1 + rv.len[sv]};
 }
 
+void UfoCore::path_queries(const VertexPair* q, size_t n, PathQuery kind,
+                           int64_t* out) const {
+  static constexpr const char* kName[] = {"path_sum", "path_max",
+                                          "path_length"};
+  const char* query = kName[static_cast<int>(kind)];
+  require_all(query);
+  for (size_t base = 0; base < n; base += kRootGroup) {
+    const size_t g = std::min(kRootGroup, n - base);
+    uint32_t lca[kRootGroup];
+    lca_clusters(q + base, g, lca);
+    for (size_t i = 0; i < g; ++i) {
+      const auto [u, v] = q[base + i];
+      PathAgg f{0, std::numeric_limits<Weight>::min(), 0};  // u == v
+      if (u != v) f = path_agg(u, v, lca[i], query);
+      out[base + i] = kind == PathQuery::kSum   ? f.sum
+                      : kind == PathQuery::kMax ? f.max
+                                                : f.len;
+    }
+  }
+}
+
 Weight UfoCore::path_sum(Vertex u, Vertex v) const {
-  return path_agg(u, v, "path_sum").sum;
+  return path_query(u, v, PathQuery::kSum);
 }
 
 Weight UfoCore::path_max(Vertex u, Vertex v) const {
-  return path_agg(u, v, "path_max").max;
+  return path_query(u, v, PathQuery::kMax);
 }
 
 int64_t UfoCore::path_length(Vertex u, Vertex v) const {
-  return path_agg(u, v, "path_length").len;
+  return path_query(u, v, PathQuery::kLength);
 }
 
 // Subtree aggregates of v with parent p: climb from the LCA child on v's
@@ -1024,7 +1056,9 @@ UfoCore::SubtreeAgg UfoCore::subtree_agg(Vertex v, Vertex p,
                                          const char* query) const {
   require_all(query);
   if (!has_edge(v, p)) bad_query(query, v, p, "not a forest edge");
-  uint32_t lca = lca_cluster(leaf_id(v), leaf_id(p));
+  const VertexPair q{v, p};
+  uint32_t lca = 0;
+  lca_clusters(&q, 1, &lca);
   uint32_t cv = leaf_id(v), cp = leaf_id(p);
   while (hot_[cv].parent != lca) cv = hot_[cv].parent;
   while (hot_[cp].parent != lca) cp = hot_[cp].parent;
@@ -1107,7 +1141,9 @@ size_t UfoCore::subtree_size(Vertex v, Vertex p) const {
 void UfoCore::path_milestone(Vertex u, Vertex v, Vertex* a, Vertex* b) const {
   require_all("path_milestone");
   if (u == v) bad_query("path_milestone", u, v, "empty path");
-  uint32_t lca = lca_cluster(leaf_id(u), leaf_id(v));
+  const VertexPair q{u, v};
+  uint32_t lca = 0;
+  lca_clusters(&q, 1, &lca);
   if (lca == 0)
     bad_query("path_milestone", u, v, "vertices in different trees");
   const Hot& L = hot_[lca];
@@ -1141,10 +1177,10 @@ Vertex UfoCore::lca(Vertex u, Vertex v, Vertex r) const {
   require_all("lca");
   if (u == v) return u;
   if (u == r || v == r) return r;
-  int64_t duv = path_length(u, v);
-  int64_t dur = path_length(u, r);
-  int64_t dvr = path_length(v, r);
-  int64_t k = (duv + dur - dvr) / 2;
+  const VertexPair q[3] = {{u, v}, {u, r}, {v, r}};
+  int64_t d[3] = {};
+  path_queries(q, 3, PathQuery::kLength, d);
+  int64_t k = (d[0] + d[1] - d[2]) / 2;
   return path_select(*this, u, v, k);
 }
 

@@ -46,6 +46,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/cluster_pool.h"
@@ -63,6 +64,12 @@ namespace ufo::core {
 // sizes (the size record); kAll adds the cold record and rake indexes that
 // the path, subtree and non-local queries read.
 enum class Aggregates : uint8_t { kSize, kAll };
+
+using VertexPair = std::pair<Vertex, Vertex>;
+
+// Which aggregate UfoCore::path_queries answers: the path_sum, path_max
+// or path_length of each pair.
+enum class PathQuery : uint8_t { kSum, kMax, kLength };
 
 class UfoCore {
  public:
@@ -103,10 +110,18 @@ class UfoCore {
   // Path queries over edge weights; path_length counts hops. u and v must
   // be connected (else: message and abort, every build type). u == v is
   // the empty path: sum 0, length 0, and path_max returns
-  // std::numeric_limits<Weight>::min(), as RefForest does.
+  // std::numeric_limits<Weight>::min(), as RefForest does. Each is a
+  // group of one in path_queries.
   Weight path_sum(Vertex u, Vertex v) const;
   Weight path_max(Vertex u, Vertex v) const;
   int64_t path_length(Vertex u, Vertex v) const;
+  // Batched path queries: out[i] = the `kind` query on q[i] for i < n,
+  // under the scalar rules above. Climbs groups of kRootGroup pairs to
+  // their LCA clusters in lockstep, as tree_roots climbs to the roots,
+  // then walks each pair's path up to its LCA while the climbed hot
+  // records are still cached (DESIGN.md, "Batched root climbs").
+  void path_queries(const VertexPair* q, size_t n, PathQuery kind,
+                    int64_t* out) const;
   // Vertex-weight sum / vertex count of v's side of the tree rooted so that
   // p is v's parent. (v, p) must be a forest edge (else: message and abort).
   Weight subtree_sum(Vertex v, Vertex p) const;
@@ -319,7 +334,7 @@ class UfoCore {
   // Remove every entry whose nbr is in `targets` (sorted, all present).
   // O(targets) when c carries a hash index, O(degree + targets) otherwise —
   // the high-degree-hub case the adjacency index exists for.
-  void adj_remove_batch(uint32_t c, const std::vector<uint32_t>& targets);
+  void adj_remove_batch(uint32_t c, Span<const uint32_t> targets);
 
   uint32_t tree_root(Vertex v) const;
   // children bookkeeping with O(1) positional removal (superunary clusters
@@ -375,8 +390,10 @@ class UfoCore {
   template <class Visit>
   RepPath climb_rep_path(Vertex from, uint32_t stop, uint32_t* child,
                          Visit&& visit) const;
-  // Lowest common ancestor cluster; 0 if a and b lie in different trees.
-  uint32_t lca_cluster(uint32_t a, uint32_t b) const;
+  // The one LCA climb: out[i] = the lowest common ancestor cluster of
+  // q[i]'s leaves, 0 if they lie in different trees; n <= kRootGroup. The
+  // pairs' chains climb in lockstep, one parent load per chain per sweep.
+  void lca_clusters(const VertexPair* q, size_t n, uint32_t* out) const;
   int boundary_slot(const Cold& c, Vertex bv) const {
     if (c.bv[0] == bv) return 0;
     if (c.bv[1] == bv) return 1;
@@ -408,9 +425,15 @@ class UfoCore {
  private:
   // Aborts with a message naming `query` unless this is a kAll forest.
   void require_all(const char* query) const;
-  // The path family's one walk: f over the u--v path (u == v gives the
-  // empty path). Aborts naming `query` if u and v lie in different trees.
-  PathAgg path_agg(Vertex u, Vertex v, const char* query) const;
+  // The path family's one walk: f over the u--v path, u != v, given
+  // their LCA cluster. Aborts naming `query` if it is 0 (different trees).
+  PathAgg path_agg(Vertex u, Vertex v, uint32_t lca, const char* query) const;
+  int64_t path_query(Vertex u, Vertex v, PathQuery kind) const {
+    const VertexPair q{u, v};
+    int64_t r = 0;
+    path_queries(&q, 1, kind, &r);
+    return r;
+  }
   // The subtree family's one walk: vertex-weight sum and vertex count of
   // v's side of the forest edge (v, p). Aborts naming `query` otherwise.
   struct SubtreeAgg {

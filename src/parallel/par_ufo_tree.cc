@@ -131,11 +131,13 @@ void UfoTree::edge_level_ops(const std::vector<Update>& ops, bool insert) {
 
 // One task per touched cluster owns all of its adjacency writes: inserts
 // append, erases compact the list once against the sorted targets (so k
-// erasures against one high-degree cluster cost O(degree + k)).
+// erasures against one high-degree cluster cost O(degree + k)). The erase
+// groups sort their targets in slices of one shared buffer, in group order.
 std::vector<uint32_t> UfoTree::apply_adjacency(
     const std::vector<std::pair<uint32_t, Adj>>& ops, bool insert) {
   Groups<uint32_t> g =
       group_by(ops.size(), [&](size_t i) { return ops[i].first; });
+  std::vector<uint32_t> tgt(insert ? 0 : ops.size());
   parallel_for(0, g.keys.size(), [&](size_t j) {
     uint32_t c = g.keys[j];
     uint32_t begin = g.start[j], end = g.start[j + 1];
@@ -147,11 +149,9 @@ std::vector<uint32_t> UfoTree::apply_adjacency(
         nbrs_push(c, a);
       }
     } else {
-      std::vector<uint32_t> targets(end - begin);
-      for (uint32_t i = begin; i < end; ++i)
-        targets[i - begin] = ops[g.at[i]].second.nbr;
-      std::sort(targets.begin(), targets.end());
-      adj_remove_batch(c, targets);
+      for (uint32_t i = begin; i < end; ++i) tgt[i] = ops[g.at[i]].second.nbr;
+      std::sort(tgt.begin() + begin, tgt.begin() + end);
+      adj_remove_batch(c, {tgt.data() + begin, end - begin});
     }
   });
   for (uint32_t c : g.keys) queue(c);

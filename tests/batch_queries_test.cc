@@ -4,7 +4,10 @@
 // 2, 4 and the hardware's worker count). The BatchedRootClimb suite checks
 // the lockstep root climb (UfoCore::tree_roots and the batch_connected
 // path built on it) against scalar component_id/connected on every
-// UfoCore-based forest, across group and block boundaries.
+// UfoCore-based forest, across group and block boundaries; the
+// BatchedPathWalk suite checks the lockstep LCA climb and path walk
+// (UfoCore::path_queries under the batched path family) the same way,
+// against RefForest and the scalar path queries.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -287,6 +290,71 @@ TYPED_TEST(BatchedRootClimb, MatchesScalarAcrossUpdates) {
   f.link(cuts);
   ASSERT_TRUE(f.tree().connected(0, 399));
   expect_batched_matches_scalar(f.tree(), 3);
+}
+
+// The mixed forest with edge weights of both signs.
+EdgeList signed_mixed_forest() {
+  EdgeList edges = mixed_forest();
+  util::SplitMix64 rng(41);
+  for (Edge& e : edges) e.w = static_cast<Weight>(rng.next(201)) - 100;
+  return edges;
+}
+
+template <class Tree>
+void expect_paths_match(const Tree& t, const RefForest& ref, uint64_t seed) {
+  constexpr size_t G = UfoCore::kRootGroup, B = kClimbBlock;
+  util::SplitMix64 rng(seed);
+  for (size_t len : {size_t{0}, size_t{1}, G - 1, G, G + 1, B - 1, B, B + 1,
+                     size_t{1000}}) {
+    // Connected pairs only; every fifth is u == v, the empty path.
+    std::vector<VertexPair> q(len);
+    for (size_t i = 0; i < len; ++i) {
+      const Vertex u = static_cast<Vertex>(rng.next(kMixedN));
+      const std::vector<Vertex> comp = ref.component(u);
+      q[i] = {u, i % 5 == 0 ? u : comp[rng.next(comp.size())]};
+    }
+    const std::vector<Weight> sums = batch_path_sum(t, q);
+    const std::vector<Weight> maxes = batch_path_max(t, q);
+    const std::vector<int64_t> lens = batch_path_length(t, q);
+    ASSERT_EQ(sums.size(), len);
+    ASSERT_EQ(maxes.size(), len);
+    ASSERT_EQ(lens.size(), len);
+    for (size_t i = 0; i < len; ++i) {
+      SCOPED_TRACE(::testing::Message() << "len " << len << " pair " << i);
+      const auto [u, v] = q[i];
+      ASSERT_EQ(sums[i], ref.path_sum(u, v));
+      ASSERT_EQ(maxes[i], ref.path_max(u, v));
+      ASSERT_EQ(lens[i], static_cast<int64_t>(ref.path_length(u, v)));
+      ASSERT_EQ(sums[i], t.path_sum(u, v));
+      ASSERT_EQ(maxes[i], t.path_max(u, v));
+      ASSERT_EQ(lens[i], t.path_length(u, v));
+    }
+  }
+}
+
+template <class T>
+class BatchedPathWalk : public ::testing::Test {};
+using PathWalkTrees = ::testing::Types<SeqUfo, ParUfo>;
+TYPED_TEST_SUITE(BatchedPathWalk, PathWalkTrees);
+
+TYPED_TEST(BatchedPathWalk, MatchesRefForestAcrossUpdates) {
+  const EdgeList edges = signed_mixed_forest();
+  TypeParam f(edges);
+  RefForest ref(kMixedN);
+  for (const Edge& e : edges) ref.link(e.u, e.v, e.w);
+  expect_paths_match(f.tree(), ref, 1);
+
+  // Cut every 7th edge, check, then link them back and check again.
+  EdgeList cuts;
+  for (size_t i = 0; i < edges.size(); i += 7) cuts.push_back(edges[i]);
+  f.cut(cuts);
+  for (const Edge& e : cuts) ref.cut(e.u, e.v);
+  ASSERT_FALSE(f.tree().connected(0, 399));
+  expect_paths_match(f.tree(), ref, 2);
+  f.link(cuts);
+  for (const Edge& e : cuts) ref.link(e.u, e.v, e.w);
+  ASSERT_TRUE(f.tree().connected(0, 399));
+  expect_paths_match(f.tree(), ref, 3);
 }
 
 TEST(BatchQueries, EmptyBatch) {

@@ -160,6 +160,31 @@ TYPED_TEST(GraphConnectivity, BatchInsertKeepsFirstDuplicateWeight) {
   EXPECT_EQ(g.forest().path_sum(0, 1), 5);
 }
 
+// Self-loops and edges with an endpoint >= n drop out of both batch
+// updates without shadowing a valid edge. Under the dedupe's key
+// min * n + max, (1, n + 5) would share (2, 5)'s key and (0, n + 7) would
+// share (1, 7)'s, and each invalid edge comes first in its batch.
+TYPED_TEST(GraphConnectivity, InvalidEdgesNeverShadowValidOnes) {
+  constexpr Vertex n = 8;
+  Conn<TypeParam> g(n, core::Aggregates::kAll);
+  const EdgeList batch = {{1, n + 5, 9}, {2, 5, 4},         {0, n + 7, 9},
+                          {7, 1, 3},     {4, 4, 9},         {6, kNoVertex, 9},
+                          {n + 1, n + 1, 9}};
+  ASSERT_EQ(g.batch_insert(batch), conn::BatchStatus::kOk);
+  EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_EQ(g.num_components(), n - 2);
+  EXPECT_TRUE(g.has_edge(2, 5));
+  EXPECT_TRUE(g.has_edge(1, 7));
+  EXPECT_EQ(g.forest().path_sum(2, 5), 4);
+  EXPECT_EQ(g.forest().path_sum(1, 7), 3);
+
+  ASSERT_EQ(g.batch_erase(batch), conn::BatchStatus::kOk);
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_EQ(g.num_components(), size_t{n});
+  EXPECT_FALSE(g.connected(2, 5));
+  EXPECT_FALSE(g.connected(1, 7));
+}
+
 // Mixed single-edge insert/erase/query churn against the oracle. Three
 // graph families x >= 10k operations total (acceptance criterion).
 struct Family {
